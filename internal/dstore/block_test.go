@@ -146,9 +146,8 @@ func TestBlockMetaRange(t *testing.T) {
 	if meta.minNS != wantMin || meta.maxNS != wantMax {
 		t.Fatalf("time range [%d,%d], want [%d,%d]", meta.minNS, meta.maxNS, wantMin, wantMax)
 	}
-	minNS, maxNS, err := peekBlockRange(data)
-	if err != nil || minNS != wantMin || maxNS != wantMax {
-		t.Fatalf("peekBlockRange = [%d,%d], %v", minNS, maxNS, err)
+	if head, _, err := openBlock(data); err != nil || head != meta {
+		t.Fatalf("openBlock = %+v, %v; unmarshalBlock read %+v", head, err, meta)
 	}
 }
 

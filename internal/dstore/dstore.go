@@ -12,16 +12,35 @@
 // received (internal/transport), so crash recovery replays the identical
 // ingest path — enrich, store, rollup, freshness — and reaches a state
 // byte-identical with pre-crash query answers. Sealed blocks re-encode
-// rows columnarly: delta+varint for the smart-encoded integer columns and
-// the existing LowCardinality dictionary for strings (storage.Column both
-// ways), with the span's non-columnar rest, flows, and profiles in the
-// trace/transport wire layout. No second format is invented anywhere.
+// rows columnarly in internal/storage's column layouts — delta+varint for
+// the smart-encoded integer columns, the LowCardinality dictionary for
+// strings — with the span's non-columnar rest, flows, and profiles in the
+// trace/transport wire layout. No second format is invented anywhere; but
+// block.go reads and writes those layouts itself, straight between span
+// fields and one byte buffer, rather than through storage.Column values
+// (which stay for Fig. 14 and the server's shadow table).
+//
+// Compaction is concatenation. A block image is a pure function of its
+// rows (delta columns restart at 0, dictionaries list values once in
+// first-appearance order, no column has a length prefix, every varint is
+// minimal — block.go's header spells it out, and every read enforces it),
+// so merging blocks never decodes a row: compact.go copies integer columns
+// and rebases one delta per input, unions dictionaries and rewrites only
+// the index varints, splices the row-major sections, and produces exactly
+// the bytes a single seal of all the rows would have. A seal or a merge is
+// made durable (written and fsynced through one descriptor, then renamed)
+// before anything it supersedes is touched; a seal that fails is counted
+// (Stats.SealErrors), leaves the WAL and the memtable as they were, and is
+// retried by the next Append.
 //
 // Concurrency: a Shard is internally locked (mu) around the WAL, the
 // memtable, and the block list; block files themselves are immutable, so
 // scans and compactions read them outside the lock, with reference counts
-// deferring file deletion past in-flight readers. All counters the
-// deepflow_storage_* gauges scrape are atomics.
+// deferring file deletion past in-flight readers. A compaction also writes
+// and fsyncs its output outside the lock and takes it only to rename the
+// file into place and swap handles; compactions of one shard are
+// serialized by compactMu. All counters the deepflow_storage_* gauges
+// scrape are atomics.
 //
 // Determinism contract: dstore is a dflint contract package — replay,
 // scan, compaction, and eviction never consult a clock and never let map
@@ -200,6 +219,7 @@ type Stats struct {
 	EvictedSpans     int64 // spans inside those blocks
 	TornTailDropped  int64
 	WALAppendErrors  int64
+	SealErrors       int64 // seals whose block write, fsync or rename failed; retried by the next Append
 	ReplayWALBatches int64
 	ReplayWALSpans   int64
 	ReplayBlockSpans int64

@@ -28,6 +28,7 @@ type blockHandle struct {
 	flows             int
 	profiles          int
 	minNS, maxNS      int64
+	enc               BlockEncoding
 
 	refs int  // in-flight readers (scans, compactions)
 	dead bool // superseded or evicted; file removed once refs==0
@@ -52,6 +53,8 @@ type Shard struct {
 	dir string
 	cfg Config
 
+	compactMu sync.Mutex // serializes Compact; taken before mu, never under it
+
 	mu      sync.Mutex
 	wal     *walWriter
 	walFrom uint64 // lowest live (uncovered) WAL segment sequence
@@ -73,6 +76,7 @@ type Shard struct {
 	evictedSpans    atomic.Int64
 	tornTail        atomic.Int64
 	walAppendErrors atomic.Int64
+	sealErrors      atomic.Int64
 	replayWALBatch  atomic.Int64
 	replayWALSpans  atomic.Int64
 	replayBlkSpans  atomic.Int64
@@ -184,11 +188,8 @@ func Open(dir string, cfg Config, apply func(*transport.Batch)) (*Shard, ReplayS
 		if err != nil {
 			return nil, rs, fmt.Errorf("dstore: replay %s: %w", bf.name, err)
 		}
-		h := &blockHandle{
-			path: path, walFirst: meta.walFirst, walLast: meta.walLast,
-			bytes: int64(len(data)), spans: meta.nSpans, flows: meta.nFlows,
-			profiles: meta.nProfiles, minNS: meta.minNS, maxNS: meta.maxNS,
-		}
+		h := newBlockHandle(dir, meta, len(data))
+		h.path = path
 		s.blocks = append(s.blocks, h)
 		s.sealedBytes.Add(h.bytes)
 		s.nBlocks.Add(1)
@@ -260,6 +261,8 @@ func Open(dir string, cfg Config, apply func(*transport.Batch)) (*Shard, ReplayS
 // decoded rows (b) in the memtable, sealing when a threshold trips. The
 // WAL write happens before the rows become queryable; a WAL write error is
 // counted and ingest continues in-memory (availability over durability).
+// A failed seal is counted too (Stats.SealErrors) and returned: the WAL
+// and the memtable stay as they were, and the next Append retries it.
 func (s *Shard) Append(payload []byte, b *transport.Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,15 +284,27 @@ func (s *Shard) Append(payload []byte, b *transport.Batch) error {
 }
 
 // sealLocked flushes the memtable into a new immutable block covering
-// every live WAL segment, then retires those segments. Callers hold mu.
+// every live WAL segment, then retires those segments. Everything that can
+// fail — writing and fsyncing the block, opening the next WAL segment, the
+// rename that publishes the block — happens before any shard state moves:
+// on an error the WAL segments and the memtable still hold every
+// acknowledged row, so a crash replays them and the next seal retries.
+// Callers hold mu.
 func (s *Shard) sealLocked() error {
 	if len(s.mem.spans) == 0 && len(s.mem.flows) == 0 && len(s.mem.profiles) == 0 {
 		return nil
 	}
 	walFirst, walLast := s.walFrom, s.wal.seq
 	data := marshalBlock(walFirst, walLast, s.mem.spans, s.mem.flows, s.mem.profiles, s.cfg.Encoding)
-	h, err := s.writeBlockLocked(walFirst, walLast, data, len(s.mem.spans), len(s.mem.flows), len(s.mem.profiles))
+	minNS, maxNS := spanTimeRange(s.mem.spans)
+	h := newBlockHandle(s.dir, blockMeta{
+		walFirst: walFirst, walLast: walLast,
+		nSpans: len(s.mem.spans), nFlows: len(s.mem.flows), nProfiles: len(s.mem.profiles),
+		minNS: minNS, maxNS: maxNS, enc: s.cfg.Encoding,
+	}, len(data))
+	next, err := s.publishSealLocked(h, data)
 	if err != nil {
+		s.sealErrors.Add(1)
 		return err
 	}
 	s.blocks = append(s.blocks, h)
@@ -297,71 +312,79 @@ func (s *Shard) sealLocked() error {
 	s.nBlocks.Add(1)
 
 	// The block is durable; the WAL segments it covers are dead weight.
-	if err := s.wal.close(false); err != nil {
-		return fmt.Errorf("dstore: seal: close wal: %w", err)
-	}
+	_ = s.wal.close(false)
 	for seq := walFirst; seq <= walLast; seq++ {
 		_ = os.Remove(filepath.Join(s.dir, walName(seq)))
 	}
 	syncDir(s.dir)
-	w, err := createWAL(s.dir, walLast+1)
-	if err != nil {
-		return err
-	}
-	s.wal = w
-	s.walFrom = w.seq
+	s.wal = next
+	s.walFrom = next.seq
 	s.liveWAL = 0
 	s.mem.reset()
 	s.memSpans.Store(0)
-	s.walBytes.Store(w.bytes)
+	s.walBytes.Store(next.bytes)
 	s.walSegments.Store(1)
 	s.recomputeDebtLocked()
 	return nil
 }
 
-// writeBlockLocked persists a marshaled block image via tmp+rename and
-// returns its handle. Callers hold mu. minNS/maxNS come from the image so
-// handle metadata always matches what a reopen would decode.
-func (s *Shard) writeBlockLocked(walFirst, walLast uint64, data []byte, nSpans, nFlows, nProfiles int) (*blockHandle, error) {
-	minNS, maxNS, err := peekBlockRange(data)
+// publishSealLocked makes a sealed block durable under its final name and
+// opens the WAL segment that follows it, or does neither: a failure at
+// any step removes what the earlier steps created. Callers hold mu.
+func (s *Shard) publishSealLocked(h *blockHandle, data []byte) (*walWriter, error) {
+	tmp, err := writeBlockTmp(h.path, data)
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(s.dir, blockName(walFirst, walLast))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return nil, fmt.Errorf("dstore: write block: %w", err)
+	next, err := createWAL(s.dir, h.walLast+1)
+	if err != nil {
+		_ = os.Remove(tmp)
+		return nil, err
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(tmp, h.path); err != nil {
+		_ = next.close(false)
+		_ = os.Remove(next.path)
+		_ = os.Remove(tmp)
 		return nil, fmt.Errorf("dstore: publish block: %w", err)
 	}
-	syncDir(s.dir)
-	return &blockHandle{
-		path: path, walFirst: walFirst, walLast: walLast,
-		bytes: int64(len(data)), spans: nSpans, flows: nFlows,
-		profiles: nProfiles, minNS: minNS, maxNS: maxNS,
-	}, nil
+	syncDir(s.dir) // the rename must be on disk before the WAL it covers is unlinked
+	return next, nil
 }
 
-// peekBlockRange reads just the span time range out of a block header.
-func peekBlockRange(data []byte) (minNS, maxNS int64, err error) {
-	r := trace.WireReader{Data: data, Pos: 4}
-	r.Uvarint() // walFirst
-	r.Uvarint() // walLast
-	r.Uvarint() // nSpans
-	r.Uvarint() // nFlows
-	r.Uvarint() // nProfiles
-	minNS = r.Varint()
-	maxNS = r.Varint()
-	if r.Err != nil {
-		return 0, 0, fmt.Errorf("dstore: block header: %w", r.Err)
+// newBlockHandle builds the handle for a block image of size bytes whose
+// header is meta, at its canonical path under dir.
+func newBlockHandle(dir string, meta blockMeta, size int) *blockHandle {
+	return &blockHandle{
+		path:     filepath.Join(dir, blockName(meta.walFirst, meta.walLast)),
+		walFirst: meta.walFirst, walLast: meta.walLast,
+		bytes: int64(size), spans: meta.nSpans, flows: meta.nFlows,
+		profiles: meta.nProfiles, minNS: meta.minNS, maxNS: meta.maxNS,
+		enc: meta.enc,
 	}
-	return minNS, maxNS, nil
+}
+
+// writeBlockTmp writes a block image to path+".tmp" and fsyncs it through
+// the one descriptor it was written with, returning the tmp path for the
+// caller to rename into place. Nothing is left behind on error. It touches
+// no shard state, so compaction calls it without the lock.
+func writeBlockTmp(path string, data []byte) (tmp string, err error) {
+	tmp = path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return "", fmt.Errorf("dstore: write block: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return "", fmt.Errorf("dstore: write block: %w", err)
+	}
+	return tmp, nil
 }
 
 // BlockInfo describes one sealed block for scans and tests.
@@ -551,6 +574,7 @@ func (s *Shard) Stats() Stats {
 		EvictedSpans:     s.evictedSpans.Load(),
 		TornTailDropped:  s.tornTail.Load(),
 		WALAppendErrors:  s.walAppendErrors.Load(),
+		SealErrors:       s.sealErrors.Load(),
 		ReplayWALBatches: s.replayWALBatch.Load(),
 		ReplayWALSpans:   s.replayWALSpans.Load(),
 		ReplayBlockSpans: s.replayBlkSpans.Load(),

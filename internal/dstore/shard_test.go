@@ -292,3 +292,88 @@ func TestShardDiskBytesMatchesFiles(t *testing.T) {
 		t.Fatalf("DiskBytes = %d, directory holds %d", got, onDisk)
 	}
 }
+
+// failingSeals opens a fresh shard whose seals fail the way an unwritable
+// directory makes them fail — the block's tmp file cannot be opened for
+// writing — by parking a directory on that path, which stops root too. It
+// appends five batches, three of which try to seal, and returns the shard,
+// the rows it acknowledged and a func that makes the directory writable.
+func failingSeals(t *testing.T, dir string, cfg Config) (s *Shard, want []*trace.Span, unblock func()) {
+	t.Helper()
+	s, _, err := Open(dir, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, blockName(1, 1)+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sealErrs := 0
+	for i := 0; i < 5; i++ {
+		b, payload := testBatch(i)
+		want = append(want, b.Spans...)
+		if err := s.Append(payload, b); err != nil {
+			sealErrs++
+		}
+	}
+	st := s.Stats()
+	if sealErrs != 3 || st.SealErrors != 3 {
+		t.Fatalf("Append returned %d seal errors, Stats.SealErrors = %d, want 3 and 3", sealErrs, st.SealErrors)
+	}
+	if st.Blocks != 0 || st.MemSpans != int64(len(want)) || st.WALSegments != 1 {
+		t.Fatalf("a failed seal moved state: %+v", st)
+	}
+	if got, _, _ := collect(t, s); !sameSpans(got, want) {
+		t.Fatal("rows acknowledged before the failed seals are no longer scannable")
+	}
+	return s, want, func() {
+		if err := os.Remove(tmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestSealFailureIsRetriedByTheNextAppend(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Sync: SyncNever, SealSpans: 12, SealBytes: 1 << 30}
+	s, want, unblock := failingSeals(t, dir, cfg)
+	unblock()
+	b, payload := testBatch(5)
+	want = append(want, b.Spans...)
+	if err := s.Append(payload, b); err != nil {
+		t.Fatalf("seal after the directory became writable: %v", err)
+	}
+	if st := s.Stats(); st.Blocks != 1 || st.MemSpans != 0 || st.SealErrors != 3 {
+		t.Fatalf("after the retried seal: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rs, err := Open(dir, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rs.BlockSpans != len(want) || rs.WALBatches != 0 {
+		t.Fatalf("reopen found %d block spans and %d WAL batches, want %d and 0", rs.BlockSpans, rs.WALBatches, len(want))
+	}
+	if got, _, _ := collect(t, s); !sameSpans(got, want) {
+		t.Fatal("the retried seal lost or reordered rows")
+	}
+}
+
+func TestSealFailureThenCrashReplaysEverySpan(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Sync: SyncNever, SealSpans: 12, SealBytes: 1 << 30}
+	s, want, _ := failingSeals(t, dir, cfg)
+	s.Abort() // the seals never went through; the WAL is all there is
+	var replayed []*trace.Span
+	s, rs, err := Open(dir, cfg, func(b *transport.Batch) { replayed = append(replayed, b.Spans...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rs.Blocks != 0 || rs.WALSpans != len(want) || !sameSpans(replayed, want) {
+		t.Fatalf("reopen replayed %d WAL spans and %d blocks, want all %d spans from the WAL", rs.WALSpans, rs.Blocks, len(want))
+	}
+}

@@ -45,8 +45,9 @@ type walWriter struct {
 	f     *os.File
 	path  string
 	seq   uint64
-	bytes int64 // total bytes written to this segment, header included
-	dirty int   // bytes appended since the last fsync
+	bytes int64  // total bytes written to this segment, header included
+	dirty int    // bytes appended since the last fsync
+	frame []byte // grow-only scratch: header + payload go out in one write
 }
 
 // createWAL opens a fresh segment with the given sequence number.
@@ -66,10 +67,10 @@ func createWAL(dir string, seq uint64) (*walWriter, error) {
 
 // append frames and writes one record, fsyncing per the policy.
 func (w *walWriter) append(payload []byte, cfg Config) error {
-	frame := make([]byte, walFrameSize, walFrameSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	frame := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	frame = append(frame, payload...)
+	w.frame = frame
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("dstore: wal append: %w", err)
 	}

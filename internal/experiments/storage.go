@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"deepflow/internal/dstore"
@@ -39,6 +41,102 @@ type StorageResult struct {
 	WALReplaySpansPerSec   float64            `json:"wal_replay_spans_per_sec"`
 	BlockReplaySpansPerSec float64            `json:"block_replay_spans_per_sec"`
 	CleanRestartWALBatches int                `json:"clean_restart_wal_batches"`
+	// Codec is the cost of the three block operations ingest and recovery
+	// are made of, over SealSpans-sized blocks of the corpus.
+	Codec []StorageCodecRow `json:"block_codec"`
+}
+
+// StorageCodecRow is one sealed-block operation's measured cost: sealing a
+// memtable into a block image, decoding one back into spans, and merging
+// CompactFanIn images into one (compaction), each per span handled.
+type StorageCodecRow struct {
+	Op            string  `json:"op"` // "seal", "decode" or "merge"
+	Spans         int     `json:"spans"`
+	NsPerSpan     float64 `json:"ns_per_span"`
+	AllocsPerSpan float64 `json:"allocs_per_span"`
+}
+
+// measureBlockCodec times seal, decode and merge under the default
+// encoding: best of three passes for the time (interference only ever
+// slows a pass), the first pass's malloc count for the allocations (it
+// repeats exactly). The merged images are checked against sealing the
+// same rows in one go, so a fast wrong merge cannot report a number.
+func measureBlockCodec(spans []*trace.Span) ([]StorageCodecRow, error) {
+	cfg := dstore.DefaultConfig()
+	var blocks [][]*trace.Span
+	for off := 0; off < len(spans); off += cfg.SealSpans {
+		blocks = append(blocks, spans[off:min(off+cfg.SealSpans, len(spans))])
+	}
+	measure := func(op string, n int, pass func() error) (StorageCodecRow, error) {
+		row := StorageCodecRow{Op: op, Spans: n}
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			if err := pass(); err != nil {
+				return row, fmt.Errorf("storage: %s: %w", op, err)
+			}
+			ns := float64(time.Since(start).Nanoseconds()) / float64(n)
+			runtime.ReadMemStats(&after)
+			if i == 0 {
+				row.AllocsPerSpan = float64(after.Mallocs-before.Mallocs) / float64(n)
+			}
+			if i == 0 || ns < row.NsPerSpan {
+				row.NsPerSpan = ns
+			}
+		}
+		return row, nil
+	}
+
+	images := make([][]byte, len(blocks))
+	seal, err := measure("seal", len(spans), func() error {
+		for i, blk := range blocks {
+			images[i] = dstore.EncodeBlock(blk, nil, nil, cfg.Encoding)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	decode, err := measure("decode", len(spans), func() error {
+		for _, img := range images {
+			if _, _, _, err := dstore.DecodeBlock(img); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := []StorageCodecRow{seal, decode}
+	if len(images) < 2 {
+		return rows, nil // nothing to merge in a one-block corpus
+	}
+	var merged [][]byte
+	merge, err := measure("merge", len(spans), func() error {
+		merged = merged[:0]
+		for at := 0; at < len(images); at += cfg.CompactFanIn {
+			img, err := dstore.MergeBlocks(images[at:min(at+cfg.CompactFanIn, len(images))]...)
+			if err != nil {
+				return err
+			}
+			merged = append(merged, img)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, img := range merged {
+		at := i * cfg.CompactFanIn * cfg.SealSpans
+		want := dstore.EncodeBlock(spans[at:min(at+cfg.CompactFanIn*cfg.SealSpans, len(spans))], nil, nil, cfg.Encoding)
+		if !bytes.Equal(img, want) {
+			return nil, fmt.Errorf("storage: merging blocks %d… gives %d bytes that differ from sealing their %d rows at once",
+				i*cfg.CompactFanIn, len(img), len(want))
+		}
+	}
+	return append(rows, merge), nil
 }
 
 // storageCorpus reuses the Fig. 14 synthetic-span generator so the durable
@@ -73,6 +171,10 @@ func MeasureStorage(spanCount, podCardinality int, dir string) ([]StorageEncRow,
 	}
 	res.DeltaSmallest = encRows[0].BlockBytes < encRows[1].BlockBytes &&
 		encRows[0].BlockBytes < encRows[2].BlockBytes
+	var err error
+	if res.Codec, err = measureBlockCodec(spans); err != nil {
+		return nil, nil, nil, err
+	}
 
 	// Batch the corpus the way agents ship it, into one durable shard that
 	// never seals — everything stays in the WAL.
@@ -156,6 +258,8 @@ func Storage(spanCount, podCardinality int, dir string) (*Table, error) {
 			"delta-varint is the sealed-block default: delta+varint int columns + dictionary strings; direct materializes fixed-width ints",
 			fmt.Sprintf("WAL holds raw wire batches (%.1f B/span) until a seal compresses them into a block", res.WALBytesPerSpan),
 			"block replay pays columnar decode for the smaller footprint; clean shutdown seals everything, so a restart replays zero WAL batches",
+			fmt.Sprintf("codec rows: %d-span blocks, fan-in %d; merge concatenates column bytes (no span is decoded) and is checked byte for byte against sealing the same rows at once",
+				dstore.DefaultConfig().SealSpans, dstore.DefaultConfig().CompactFanIn),
 		},
 		JSON: res,
 	}
@@ -164,6 +268,9 @@ func Storage(spanCount, podCardinality int, dir string) (*Table, error) {
 	}
 	for _, r := range replayRows {
 		t.AddRow("replay/"+r.Path, r.Spans, fmt.Sprintf("%.0f spans/s", r.SpansPerSec))
+	}
+	for _, r := range res.Codec {
+		t.AddRow("codec/"+r.Op, r.Spans, fmt.Sprintf("%.0f ns/span, %.3f allocs/span", r.NsPerSpan, r.AllocsPerSpan))
 	}
 	return t, nil
 }

@@ -70,6 +70,7 @@ func (s *Server) DurableStats() dstore.Stats {
 		total.EvictedSpans += st.EvictedSpans
 		total.TornTailDropped += st.TornTailDropped
 		total.WALAppendErrors += st.WALAppendErrors
+		total.SealErrors += st.SealErrors
 		total.ReplayWALBatches += st.ReplayWALBatches
 		total.ReplayWALSpans += st.ReplayWALSpans
 		total.ReplayBlockSpans += st.ReplayBlockSpans
@@ -168,6 +169,8 @@ func instrumentDurable(mon *selfmon.Registry, shards []*dstore.Shard) {
 		sum(func(st dstore.Stats) int64 { return st.TornTailDropped }))
 	mon.GaugeFunc("deepflow_storage_wal_append_errors",
 		sum(func(st dstore.Stats) int64 { return st.WALAppendErrors }))
+	mon.GaugeFunc("deepflow_storage_seal_errors",
+		sum(func(st dstore.Stats) int64 { return st.SealErrors }))
 	mon.GaugeFunc("deepflow_storage_replay_wal_batches",
 		sum(func(st dstore.Stats) int64 { return st.ReplayWALBatches }))
 	mon.GaugeFunc("deepflow_storage_replay_wal_spans",

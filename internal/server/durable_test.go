@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +253,52 @@ func TestDurableStatsFootprint(t *testing.T) {
 	if tableBytes != st.WALBytes+st.SealedBytes {
 		t.Fatalf("Table.DiskSize sum %d != WAL %d + sealed %d",
 			tableBytes, st.WALBytes, st.SealedBytes)
+	}
+}
+
+// TestDurableSealFailureCountedAndReplayed: a shard whose seals fail (its
+// block tmp file cannot be opened — a directory sits on the path, which
+// stops root too) keeps ingesting, says so on
+// deepflow_storage_seal_errors, and loses nothing: the WAL the failed
+// seals left alone brings every span back after a crash.
+func TestDurableSealFailureCountedAndReplayed(t *testing.T) {
+	reg, _, _ := testRegistry(t)
+	batches := shardCorpus(t, reg, 40)
+	dir := t.TempDir()
+
+	victim := NewSharded(reg, EncodingSmart, 0, 1)
+	if _, err := victim.AttachDurable(dir, durableTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "shard-0", "block-00000001-00000001.blk.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, victim, batches)
+	before := querySnapshot(t, victim)
+	wantSpans := victim.SpansIngested()
+
+	var sealErrors float64
+	for _, sample := range victim.Mon.Snapshot() {
+		if sample.Name == "deepflow_storage_seal_errors" {
+			sealErrors = sample.Value
+		}
+	}
+	st := victim.DurableStats()
+	if sealErrors == 0 || sealErrors != float64(st.SealErrors) || st.Blocks != 0 {
+		t.Fatalf("deepflow_storage_seal_errors = %v with Stats %+v, want every seal failed and counted", sealErrors, st)
+	}
+	victim.Kill()
+
+	recovered := NewSharded(reg, EncodingSmart, 0, 1)
+	defer recovered.Close()
+	rs, err := recovered.AttachDurable(dir, durableTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.WALSpans != wantSpans || rs.Blocks != 0 {
+		t.Fatalf("replayed %d WAL spans and %d blocks, want all %d spans from the WAL", rs.WALSpans, rs.Blocks, wantSpans)
+	}
+	if after := querySnapshot(t, recovered); after != before {
+		t.Fatalf("recovered answers differ from pre-crash answers:\npre:\n%s\npost:\n%s", before, after)
 	}
 }

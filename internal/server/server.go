@@ -252,7 +252,10 @@ func (s *Server) ingestWorker(shard int) {
 		// WAL (and possibly seal into a block) before the rows enter any
 		// queryable structure, so no query ever observes a row a crash could
 		// un-ingest. Compact is a cheap no-op unless a seal just created a
-		// mergeable run.
+		// mergeable run. An Append error is a seal that failed: the shard has
+		// counted it (deepflow_storage_seal_errors), the batch is safe in its
+		// WAL and memtable, and the next Append retries — so ingest goes on
+		// (availability over durability, as for WAL write errors).
 		if s.durable != nil {
 			sh := s.durable[shard]
 			if err := sh.Append(data, b); err == nil {

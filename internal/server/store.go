@@ -69,9 +69,9 @@ type SpanStore struct {
 	timeIdx   []int // dflint:guardedby mu
 	timeDirty bool  // dflint:guardedby mu
 
-	wide      int
-	wideNames []string
-	table     *storage.Table
+	wide  int
+	table *storage.Table
+	cols  []storage.Column // table's columns in schema order, resolved once for writeRow
 
 	// Self-monitoring handles (nil when the store is not instrumented).
 	mAssembleIters *selfmon.Histogram
@@ -135,13 +135,12 @@ func newSpanStorePart(enc Encoding, reg *ResourceRegistry, wide int, part string
 	}
 	if enc != EncodingSmart {
 		for i := 0; i < wide; i++ {
-			name := "tag_w" + strconv.Itoa(i)
-			s.wideNames = append(s.wideNames, name)
-			schema = append(schema, storage.ColumnDef{Name: name, Type: tagType})
+			schema = append(schema, storage.ColumnDef{Name: "tag_w" + strconv.Itoa(i), Type: tagType})
 		}
 	}
 	s.wide = wide
 	s.table = storage.NewTable("spans_"+enc.String(), schema)
+	s.cols = s.table.Columns()
 	return s
 }
 
@@ -245,43 +244,46 @@ func (s *SpanStore) Insert(sp *trace.Span) {
 // re-materialize the table from the surviving spans through the identical
 // row path.
 func (s *SpanStore) writeRow(sp *trace.Span) {
-	w := s.table.NewRow().
-		Int("span_id", int64(sp.ID)).
-		Int("start_ns", sp.StartTime.UnixNano()).
-		Int("duration_ns", int64(sp.Duration())).
-		Int("systrace_id", int64(sp.SysTraceID)).
-		Int("req_tcp_seq", int64(sp.ReqTCPSeq)).
-		Int("resp_tcp_seq", int64(sp.RespTCPSeq)).
-		Int("response_code", int64(sp.ResponseCode)).
-		Str("x_request_id", sp.XRequestID).
-		Str("trace_id", sp.TraceID).
-		Int("l7", int64(sp.L7)).
-		Int("tap_side", int64(sp.TapSide))
+	// Positional, in newSpanStorePart's schema order: eleven fixed columns,
+	// the six resource tags, then the wide tags.
+	c := s.cols
+	c[0].AppendInt(int64(sp.ID))
+	c[1].AppendInt(sp.StartTime.UnixNano())
+	c[2].AppendInt(int64(sp.Duration()))
+	c[3].AppendInt(int64(sp.SysTraceID))
+	c[4].AppendInt(int64(sp.ReqTCPSeq))
+	c[5].AppendInt(int64(sp.RespTCPSeq))
+	c[6].AppendInt(int64(sp.ResponseCode))
+	c[7].AppendString(sp.XRequestID)
+	c[8].AppendString(sp.TraceID)
+	c[9].AppendInt(int64(sp.L7))
+	c[10].AppendInt(int64(sp.TapSide))
+	tags := c[11:]
 
 	switch s.Encoding {
 	case EncodingSmart:
-		w.Int("tag_pod", int64(sp.Resource.PodID)).
-			Int("tag_node", int64(sp.Resource.NodeID)).
-			Int("tag_service", int64(sp.Resource.ServiceID)).
-			Int("tag_namespace", int64(sp.Resource.NSID)).
-			Int("tag_region", int64(sp.Resource.RegionID)).
-			Int("tag_az", int64(sp.Resource.AZID))
+		tags[0].AppendInt(int64(sp.Resource.PodID))
+		tags[1].AppendInt(int64(sp.Resource.NodeID))
+		tags[2].AppendInt(int64(sp.Resource.ServiceID))
+		tags[3].AppendInt(int64(sp.Resource.NSID))
+		tags[4].AppendInt(int64(sp.Resource.RegionID))
+		tags[5].AppendInt(int64(sp.Resource.AZID))
 	default:
 		// Direct and LowCardinality both resolve the tag names at
 		// ingestion time — extra CPU that smart-encoding avoids — and
 		// must materialize every derived tag as a column value.
 		d := s.reg.Decode(sp.Resource)
-		w.Str("tag_pod", d.Pod).
-			Str("tag_node", d.Node).
-			Str("tag_service", d.Service).
-			Str("tag_namespace", d.Namespace).
-			Str("tag_region", d.Region).
-			Str("tag_az", d.AZ)
-		for i, name := range s.wideNames {
-			w.Str(name, d.Service+":"+strconv.Itoa(i))
+		tags[0].AppendString(d.Pod)
+		tags[1].AppendString(d.Node)
+		tags[2].AppendString(d.Service)
+		tags[3].AppendString(d.Namespace)
+		tags[4].AppendString(d.Region)
+		tags[5].AppendString(d.AZ)
+		for i, wide := range tags[6:] {
+			wide.AppendString(d.Service + ":" + strconv.Itoa(i))
 		}
 	}
-	w.Commit()
+	s.table.RowAdded()
 }
 
 // EvictBefore drops every span whose StartTime is before cutoff,

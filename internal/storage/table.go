@@ -52,6 +52,25 @@ func (t *Table) Col(name string) Column {
 	return t.cols[i]
 }
 
+// Columns returns the column handles in schema order, for writers that
+// resolve them once instead of by name per value. The slice is the
+// table's own: it stays current across Reset and must not be modified. A
+// row written through it — exactly one value appended to every column —
+// is completed with RowAdded.
+func (t *Table) Columns() []Column { return t.cols }
+
+// RowAdded counts one row written positionally through Columns. Appending
+// to every column is the caller's contract (the by-name RowWriter checks
+// it; a hot path that writes a fixed column list does not need to), so
+// only the cheapest symptom of breaking it is caught here.
+func (t *Table) RowAdded() {
+	t.rows++
+	if n := len(t.cols); n > 0 && (t.cols[0].Len() != t.rows || t.cols[n-1].Len() != t.rows) {
+		panic(fmt.Sprintf("storage: positional row for %q left columns at %d and %d values after %d rows",
+			t.Name, t.cols[0].Len(), t.cols[n-1].Len(), t.rows))
+	}
+}
+
 // RowWriter appends one row; every column must be set exactly once per row.
 // It is deliberately low-ceremony: Insert panics on schema misuse, which is
 // always a programming error in this embedded setting.

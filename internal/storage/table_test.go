@@ -139,6 +139,46 @@ func TestTableInsertAndRead(t *testing.T) {
 	}
 }
 
+// TestTablePositionalRowsMatchNamedRows: rows written through Columns +
+// RowAdded account exactly like rows written by name — same row count,
+// same resident and serialized bytes — and the handles outlive Reset.
+func TestTablePositionalRowsMatchNamedRows(t *testing.T) {
+	named, positional := NewTable("spans", testSchema()), NewTable("spans", testSchema())
+	cols := positional.Columns()
+	fill := func() {
+		for i := 0; i < 50; i++ {
+			pod, note := fmt.Sprintf("pod-%d", i%3), fmt.Sprintf("row %d", i)
+			named.NewRow().Int("id", int64(i)).Str("pod", pod).Str("note", note).Commit()
+			cols[0].AppendInt(int64(i))
+			cols[1].AppendString(pod)
+			cols[2].AppendString(note)
+			positional.RowAdded()
+		}
+	}
+	for round := 0; round < 2; round++ {
+		fill()
+		if positional.Rows() != named.Rows() || positional.MemBytes() != named.MemBytes() ||
+			positional.DiskSize() != named.DiskSize() || positional.DiskBytes() != named.DiskBytes() {
+			t.Fatalf("round %d: positional table %d rows / %d mem / %d disk, named %d / %d / %d", round,
+				positional.Rows(), positional.MemBytes(), positional.DiskSize(), named.Rows(), named.MemBytes(), named.DiskSize())
+		}
+		named.Reset()
+		positional.Reset()
+	}
+}
+
+func TestTablePositionalShortRowPanics(t *testing.T) {
+	tbl := NewTable("spans", testSchema())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row that skipped the last column was counted")
+		}
+	}()
+	tbl.Columns()[0].AppendInt(1)
+	tbl.Columns()[1].AppendString("p")
+	tbl.RowAdded()
+}
+
 func TestTableIncompleteRowPanics(t *testing.T) {
 	tbl := NewTable("spans", testSchema())
 	defer func() {

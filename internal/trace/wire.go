@@ -9,6 +9,7 @@ package trace
 // layout so the data model and its serialization evolve together.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -22,27 +23,27 @@ func AppendSpan(buf []byte, sp *Span) []byte {
 	buf = binary.AppendUvarint(buf, uint64(sp.ID))
 	buf = binary.AppendUvarint(buf, uint64(sp.SysTraceID))
 	buf = binary.AppendUvarint(buf, sp.PseudoThreadID)
-	buf = appendString(buf, sp.XRequestID)
+	buf = AppendString(buf, sp.XRequestID)
 	buf = binary.AppendUvarint(buf, uint64(sp.ReqTCPSeq))
 	buf = binary.AppendUvarint(buf, uint64(sp.RespTCPSeq))
-	buf = appendString(buf, sp.TraceID)
-	buf = appendString(buf, sp.SpanRef)
-	buf = appendString(buf, sp.ParentSpanRef)
+	buf = AppendString(buf, sp.TraceID)
+	buf = AppendString(buf, sp.SpanRef)
+	buf = AppendString(buf, sp.ParentSpanRef)
 	buf = binary.AppendUvarint(buf, uint64(sp.PID))
 	buf = binary.AppendUvarint(buf, uint64(sp.TID))
 	buf = binary.AppendUvarint(buf, sp.CoroutineID)
-	buf = appendString(buf, sp.ProcessName)
+	buf = AppendString(buf, sp.ProcessName)
 	buf = binary.AppendUvarint(buf, uint64(sp.Socket))
 	buf = AppendFiveTuple(buf, sp.Flow)
 	buf = append(buf, byte(sp.L7), byte(sp.Source), byte(sp.TapSide))
-	buf = appendString(buf, sp.HostName)
+	buf = AppendString(buf, sp.HostName)
 	startNS := sp.StartTime.UnixNano()
 	buf = binary.AppendVarint(buf, startNS)
 	buf = binary.AppendVarint(buf, sp.EndTime.UnixNano()-startNS)
-	buf = appendString(buf, sp.RequestType)
-	buf = appendString(buf, sp.RequestResource)
+	buf = AppendString(buf, sp.RequestType)
+	buf = AppendString(buf, sp.RequestResource)
 	buf = binary.AppendVarint(buf, int64(sp.ResponseCode))
-	buf = appendString(buf, sp.ResponseStatus)
+	buf = AppendString(buf, sp.ResponseStatus)
 	buf = AppendResourceTags(buf, sp.Resource)
 	buf = AppendCustom(buf, sp.Custom)
 	buf = AppendNetMetrics(buf, sp.Net)
@@ -130,8 +131,8 @@ func AppendCustom(buf []byte, m map[string]string) []byte {
 	}
 	sort.Strings(keys) // deterministic bytes for identical spans
 	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = appendString(buf, m[k])
+		buf = AppendString(buf, k)
+		buf = AppendString(buf, m[k])
 	}
 	return buf
 }
@@ -147,7 +148,9 @@ func AppendNetMetrics(buf []byte, nm NetMetrics) []byte {
 	return binary.AppendUvarint(buf, uint64(nm.ARPRequests))
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends one length-prefixed string, the form every string
+// on the wire and in a sealed block takes (WireReader.String's inverse).
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -159,16 +162,29 @@ type WireReader struct {
 	Data []byte
 	Pos  int
 	Err  error
+
+	// Strict rejects every encoding the Append* functions would not have
+	// produced: padded varints, values wider than the field they land in,
+	// custom label keys out of order. Sealed storage blocks
+	// (internal/dstore) are read strictly, so an accepted image re-encodes
+	// to the same bytes and compaction may splice column bytes verbatim.
+	// The agent→server wire is read leniently.
+	Strict bool
+	// Discard validates and advances without building anything: strings
+	// come back empty and Custom returns nil, so a record can be walked to
+	// find where it ends without allocating.
+	Discard bool
 }
 
 func (r *WireReader) fail(what string) {
 	if r.Err == nil {
-		r.Err = fmt.Errorf("trace: wire decode: truncated %s at offset %d", what, r.Pos)
+		r.Err = fmt.Errorf("trace: wire decode: %s at offset %d", what, r.Pos)
 	}
 }
 
-// Fail records a decode error at the current position; higher-level codecs
-// (internal/transport) use it when a composed record is inconsistent.
+// Fail records a decode error (what went wrong, as a phrase) at the current
+// position; higher-level codecs (internal/transport, internal/dstore) use
+// it when a composed record is inconsistent.
 func (r *WireReader) Fail(what string) { r.fail(what) }
 
 // Uvarint reads one unsigned varint.
@@ -176,26 +192,51 @@ func (r *WireReader) Uvarint() uint64 {
 	if r.Err != nil {
 		return 0
 	}
+	// One-byte values dominate every column and row this cursor walks.
+	if p := r.Pos; p < len(r.Data) && r.Data[p] < 0x80 {
+		r.Pos = p + 1
+		return uint64(r.Data[p])
+	}
 	v, n := binary.Uvarint(r.Data[r.Pos:])
 	if n <= 0 {
-		r.fail("uvarint")
+		r.fail("truncated uvarint")
+		return 0
+	}
+	if r.Strict && r.Data[r.Pos+n-1] == 0 {
+		r.fail("padded uvarint")
 		return 0
 	}
 	r.Pos += n
 	return v
 }
 
-// Varint reads one signed varint.
+// Varint reads one signed (zigzag) varint.
 func (r *WireReader) Varint() int64 {
-	if r.Err != nil {
-		return 0
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Uint32 reads an unsigned varint destined for a 32-bit field.
+func (r *WireReader) Uint32() uint32 { return uint32(r.narrow(r.Uvarint(), 32)) }
+
+// Uint16 reads an unsigned varint destined for a 16-bit field.
+func (r *WireReader) Uint16() uint16 { return uint16(r.narrow(r.Uvarint(), 16)) }
+
+// Int32 reads a signed varint destined for a 32-bit field.
+func (r *WireReader) Int32() int32 {
+	v := r.Varint()
+	if r.Strict && v != int64(int32(v)) {
+		r.fail("value wider than its 32-bit field")
 	}
-	v, n := binary.Varint(r.Data[r.Pos:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
+	return int32(v)
+}
+
+// narrow fails a strict read whose value does not fit in bits; lenient
+// reads truncate, as the wire always has.
+func (r *WireReader) narrow(v uint64, bits uint) uint64 {
+	if r.Strict && v>>bits != 0 {
+		r.fail("value wider than its field")
 	}
-	r.Pos += n
 	return v
 }
 
@@ -205,7 +246,7 @@ func (r *WireReader) Byte() byte {
 		return 0
 	}
 	if r.Pos >= len(r.Data) {
-		r.fail("byte")
+		r.fail("truncated byte")
 		return 0
 	}
 	b := r.Data[r.Pos]
@@ -213,28 +254,37 @@ func (r *WireReader) Byte() byte {
 	return b
 }
 
-// String reads one length-prefixed string.
-func (r *WireReader) String() string {
+// Bytes reads one length-prefixed string as a view into Data.
+func (r *WireReader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.Err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.Data)-r.Pos) {
-		r.fail("string")
+		r.fail("truncated string")
+		return nil
+	}
+	b := r.Data[r.Pos : r.Pos+int(n)]
+	r.Pos += int(n)
+	return b
+}
+
+// String reads one length-prefixed string.
+func (r *WireReader) String() string {
+	b := r.Bytes()
+	if r.Discard {
 		return ""
 	}
-	s := string(r.Data[r.Pos : r.Pos+int(n)])
-	r.Pos += int(n)
-	return s
+	return string(b)
 }
 
 // FiveTuple reads a flow tuple.
 func (r *WireReader) FiveTuple() FiveTuple {
 	return FiveTuple{
-		SrcIP:   IP(r.Uvarint()),
-		DstIP:   IP(r.Uvarint()),
-		SrcPort: uint16(r.Uvarint()),
-		DstPort: uint16(r.Uvarint()),
+		SrcIP:   IP(r.Uint32()),
+		DstIP:   IP(r.Uint32()),
+		SrcPort: r.Uint16(),
+		DstPort: r.Uint16(),
 		Proto:   L4Proto(r.Byte()),
 	}
 }
@@ -242,14 +292,14 @@ func (r *WireReader) FiveTuple() FiveTuple {
 // ResourceTags reads a smart-encoded tag block.
 func (r *WireReader) ResourceTags() ResourceTags {
 	return ResourceTags{
-		VPCID:     int32(r.Varint()),
-		IP:        IP(r.Uvarint()),
-		PodID:     int32(r.Varint()),
-		NodeID:    int32(r.Varint()),
-		ServiceID: int32(r.Varint()),
-		NSID:      int32(r.Varint()),
-		RegionID:  int32(r.Varint()),
-		AZID:      int32(r.Varint()),
+		VPCID:     r.Int32(),
+		IP:        IP(r.Uint32()),
+		PodID:     r.Int32(),
+		NodeID:    r.Int32(),
+		ServiceID: r.Int32(),
+		NSID:      r.Int32(),
+		RegionID:  r.Int32(),
+		AZID:      r.Int32(),
 	}
 }
 
@@ -261,13 +311,24 @@ func (r *WireReader) Custom() map[string]string {
 		return nil
 	}
 	if n > uint64(len(r.Data)-r.Pos) { // each entry takes ≥2 bytes
-		r.fail("custom map")
+		r.fail("truncated custom map")
 		return nil
 	}
-	m := make(map[string]string, n)
+	var m map[string]string
+	if !r.Discard {
+		m = make(map[string]string, n)
+	}
+	var prev []byte
 	for i := uint64(0); i < n && r.Err == nil; i++ {
-		k := r.String()
-		m[k] = r.String()
+		k := r.Bytes()
+		if r.Strict && i > 0 && bytes.Compare(prev, k) >= 0 {
+			r.fail("custom label keys out of order")
+		}
+		prev = k
+		v := r.Bytes()
+		if m != nil {
+			m[string(k)] = string(v)
+		}
 	}
 	return m
 }
@@ -275,12 +336,12 @@ func (r *WireReader) Custom() map[string]string {
 // NetMetrics reads an attached network metrics block.
 func (r *WireReader) NetMetrics() NetMetrics {
 	return NetMetrics{
-		Retransmissions: uint32(r.Uvarint()),
-		Resets:          uint32(r.Uvarint()),
-		ZeroWindows:     uint32(r.Uvarint()),
+		Retransmissions: r.Uint32(),
+		Resets:          r.Uint32(),
+		ZeroWindows:     r.Uint32(),
 		RTT:             time.Duration(r.Varint()),
 		BytesSent:       r.Uvarint(),
 		BytesReceived:   r.Uvarint(),
-		ARPRequests:     uint32(r.Uvarint()),
+		ARPRequests:     r.Uint32(),
 	}
 }

@@ -9,8 +9,7 @@ import (
 	"deepflow/internal/trace"
 )
 
-func nsUTC(ns int64) time.Time     { return time.Unix(0, ns).UTC() }
-func durNS(ns int64) time.Duration { return time.Duration(ns) }
+func nsUTC(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // Wire format: a two-byte header (magic, version|encoding), the emitting
 // host, a batch sequence number, three row counts, then the row sections.
@@ -72,7 +71,7 @@ type Encoder struct {
 func (e *Encoder) Encode(b *Batch) []byte {
 	buf := make([]byte, 0, 256+64*b.Rows())
 	buf = append(buf, wireMagic, wireVersion<<4|byte(e.Enc))
-	buf = appendString(buf, b.Host)
+	buf = trace.AppendString(buf, b.Host)
 	buf = binary.AppendUvarint(buf, b.Seq)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Spans)))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Flows)))
@@ -93,7 +92,7 @@ func (e *Encoder) Encode(b *Batch) []byte {
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, name := range names {
-			buf = appendString(buf, name)
+			buf = trace.AppendString(buf, name)
 		}
 	}
 
@@ -102,7 +101,7 @@ func (e *Encoder) Encode(b *Batch) []byte {
 		switch e.Enc {
 		case WireDirect:
 			for _, name := range e.resolve(sp.Resource) {
-				buf = appendString(buf, name)
+				buf = trace.AppendString(buf, name)
 			}
 		case WireLowCard:
 			for _, name := range e.resolve(sp.Resource) {
@@ -219,16 +218,10 @@ func Decode(data []byte) (*Batch, error) {
 // layout rather than inventing a second format.
 func AppendFlowSample(buf []byte, f *FlowSample) []byte {
 	buf = binary.AppendVarint(buf, f.TS.UnixNano())
-	buf = appendString(buf, f.Host)
-	buf = appendString(buf, f.NIC)
+	buf = trace.AppendString(buf, f.Host)
+	buf = trace.AppendString(buf, f.NIC)
 	buf = trace.AppendFiveTuple(buf, f.Tuple)
-	buf = binary.AppendUvarint(buf, uint64(f.Delta.Retransmissions))
-	buf = binary.AppendUvarint(buf, uint64(f.Delta.Resets))
-	buf = binary.AppendUvarint(buf, uint64(f.Delta.ZeroWindows))
-	buf = binary.AppendVarint(buf, int64(f.Delta.RTT))
-	buf = binary.AppendUvarint(buf, f.Delta.BytesSent)
-	buf = binary.AppendUvarint(buf, f.Delta.BytesReceived)
-	buf = binary.AppendUvarint(buf, uint64(f.Delta.ARPRequests))
+	buf = trace.AppendNetMetrics(buf, f.Delta)
 	buf = binary.AppendUvarint(buf, f.KernelPackets)
 	return binary.AppendUvarint(buf, f.KernelBytes)
 }
@@ -240,13 +233,7 @@ func DecodeFlowSample(r *trace.WireReader) FlowSample {
 	f.Host = r.String()
 	f.NIC = r.String()
 	f.Tuple = r.FiveTuple()
-	f.Delta.Retransmissions = uint32(r.Uvarint())
-	f.Delta.Resets = uint32(r.Uvarint())
-	f.Delta.ZeroWindows = uint32(r.Uvarint())
-	f.Delta.RTT = durNS(r.Varint())
-	f.Delta.BytesSent = r.Uvarint()
-	f.Delta.BytesReceived = r.Uvarint()
-	f.Delta.ARPRequests = uint32(r.Uvarint())
+	f.Delta = r.NetMetrics()
 	f.KernelPackets = r.Uvarint()
 	f.KernelBytes = r.Uvarint()
 	return f
@@ -254,12 +241,12 @@ func DecodeFlowSample(r *trace.WireReader) FlowSample {
 
 // AppendProfileSample appends one profile sample's wire encoding.
 func AppendProfileSample(buf []byte, ps *profiling.Sample) []byte {
-	buf = appendString(buf, ps.Host)
+	buf = trace.AppendString(buf, ps.Host)
 	buf = binary.AppendUvarint(buf, uint64(ps.PID))
-	buf = appendString(buf, ps.ProcName)
+	buf = trace.AppendString(buf, ps.ProcName)
 	buf = binary.AppendUvarint(buf, uint64(len(ps.Stack)))
 	for _, frame := range ps.Stack {
-		buf = appendString(buf, frame)
+		buf = trace.AppendString(buf, frame)
 	}
 	buf = binary.AppendUvarint(buf, ps.Count)
 	buf = binary.AppendVarint(buf, ps.FirstNS)
@@ -272,16 +259,20 @@ func AppendProfileSample(buf []byte, ps *profiling.Sample) []byte {
 func DecodeProfileSample(r *trace.WireReader) profiling.Sample {
 	var ps profiling.Sample
 	ps.Host = r.String()
-	ps.PID = uint32(r.Uvarint())
+	ps.PID = r.Uint32()
 	ps.ProcName = r.String()
 	if n := r.Uvarint(); n > 0 && r.Err == nil {
 		if n > uint64(len(r.Data)-r.Pos) {
-			r.Fail("profile stack")
+			r.Fail("truncated profile stack")
 			return ps
 		}
-		ps.Stack = make([]string, 0, n)
+		if !r.Discard {
+			ps.Stack = make([]string, 0, n)
+		}
 		for i := uint64(0); i < n && r.Err == nil; i++ {
-			ps.Stack = append(ps.Stack, r.String())
+			if frame := r.String(); !r.Discard {
+				ps.Stack = append(ps.Stack, frame)
+			}
 		}
 	}
 	ps.Count = r.Uvarint()
@@ -289,9 +280,4 @@ func DecodeProfileSample(r *trace.WireReader) profiling.Sample {
 	ps.LastNS = r.Varint()
 	ps.Resource = r.ResourceTags()
 	return ps
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }

@@ -73,7 +73,24 @@ echo ">> durable-storage gates (kill-and-replay determinism at 1 and 4 shards; c
 go test -run 'TestDurableKillReplayDeterminism|TestDurableCleanShutdownZeroReplay|TestRetentionCascade' -count=1 ./internal/server
 go test -run 'TestStorageCorrectness|TestStorageServerKillReplay' -count=1 ./internal/experiments
 
-echo ">> dfbench storage (writes BENCH_storage.json; bytes/span per sealed encoding + cold-start replay rates)"
+echo ">> dfbench storage (writes BENCH_storage.json; bytes/span per sealed encoding, cold-start replay rates, seal/decode/merge ns and allocs per span)"
 go run ./cmd/dfbench storage
+
+echo ">> block codec benchmarks; gate: compaction's merge allocates <= 0.05 objects per input span (a count, so it repeats; the timings are printed, not gated)"
+go test -run '^$' -bench 'Benchmark(Seal|Decode|Merge)Block' -benchmem -benchtime 20x ./internal/dstore | awk '
+    { print }
+    /^BenchmarkMergeBlocks/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1); seen = 1 }
+    END {
+        budget = 0.05 * 4 * 4096 # fan-in 4 blocks of SealSpans 4096
+        if (!seen || allocs > budget) { printf "merge allocations %s/op over budget %.0f (or benchmark missing)\n", allocs, budget; exit 1 }
+        printf "merge allocations %d/op within budget %.0f\n", allocs, budget
+    }'
+
+echo ">> fuzz the sealed-block boundary (10 s per target: arbitrary bodies under a valid CRC never panic, decode => re-encode identical, decodable pairs merge to the re-encode)"
+go test -run '^$' -fuzz '^FuzzUnmarshalBlock$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
+go test -run '^$' -fuzz '^FuzzMergeBlocks$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
+
+echo ">> the pipeline benchmark's own tests (bench/ is a module of its own; the root's go test leaves it alone)"
+(cd bench && go test ./...)
 
 echo "check.sh: all green"
