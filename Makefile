@@ -22,5 +22,7 @@ vet:
 check:
 	sh scripts/check.sh
 
+# bench runs the standing pipeline benchmark (bench/ is a module of its
+# own; see bench/README.md and BENCHMARK.json).
 bench:
-	$(GO) test -bench 'BenchmarkHookPair' -benchmem -run '^$$' ./internal/agent
+	bash bench/run.sh

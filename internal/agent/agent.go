@@ -35,11 +35,11 @@ const (
 // is aliased here for the agent-facing API.
 type FlowSample = transport.FlowSample
 
-// Sink receives the agent's output (the DeepFlow server implements it).
+// Sink receives the agent's output: one wire-encoded batch
+// (transport.Encode) per flush window — the single agent→server seam. The
+// DeepFlow server implements it (Server.IngestBatch).
 type Sink interface {
-	IngestSpan(*trace.Span)
-	IngestFlow(FlowSample)
-	IngestProfile(profiling.Sample)
+	IngestBatch([]byte) error
 }
 
 // Config tunes an agent deployment.
@@ -52,12 +52,6 @@ type Config struct {
 
 	// VPCID is the smart-encoding phase-1 tag injected by the agent.
 	VPCID int32
-
-	// Wire selects the batch wire encoding used when the sink implements
-	// BatchSink. The zero value is transport.WireSmart — ints only, the
-	// paper's smart encoding — which production deployments keep; the
-	// alternatives exist so experiments can measure bytes on the wire.
-	Wire transport.WireEncoding
 
 	// HookCost is the per-hook latency the eBPF plane adds to each
 	// syscall; AgentCost is the additional user-space processing share in
@@ -120,11 +114,10 @@ type Agent struct {
 	tracer  *SysTracer
 	sysSess *Sessionizer
 	nicSess *Sessionizer
-	sink    Sink
 
-	// out is the delivery path wrapped around sink: batched wire shipping
-	// when the sink implements BatchSink, per-item calls otherwise.
-	out shipper
+	// out buffers one flush window of output and ships it to the sink as
+	// one wire batch; nil when the agent has no sink.
+	out *batchShipper
 
 	flows      map[trace.FiveTuple]*flowMetrics
 	sockTuples map[trace.SocketID]trace.FiveTuple
@@ -180,11 +173,12 @@ func New(host *simnet.Host, cfg Config, sink Sink) (*Agent, error) {
 	a := &Agent{
 		Host:       host,
 		Cfg:        cfg,
-		sink:       sink,
-		out:        newShipper(sink, cfg.Wire),
 		flows:      make(map[trace.FiveTuple]*flowMetrics),
 		sockTuples: make(map[trace.SocketID]trace.FiveTuple),
 		scratch:    make([]byte, simkernel.CtxSize),
+	}
+	if sink != nil {
+		a.out = &batchShipper{sink: sink}
 	}
 	ids := host.Net.IDs
 	a.tracer = NewSysTracer(ids)
@@ -268,7 +262,7 @@ func (a *Agent) instrument() {
 		mon.GaugeFunc("deepflow_agent_profile_stacks_interned", func() float64 { return float64(prof.Stacks.Len()) })
 	}
 
-	if bs, ok := a.out.(*batchShipper); ok {
+	if bs := a.out; bs != nil {
 		bs.shipped = mon.Counter("deepflow_agent_batches_shipped")
 		bs.bytes = mon.Counter("deepflow_agent_batch_bytes")
 		bs.errors = mon.Counter("deepflow_agent_batch_errors")
@@ -673,9 +667,8 @@ func (a *Agent) FlushAll() {
 	}
 }
 
-// shipOut closes the current flush window: on the wire path, the buffered
-// batch is encoded and shipped in one IngestBatch call (the paper's
-// once-per-window export); on the per-item path it is a no-op.
+// shipOut closes the current flush window: the buffered batch is encoded
+// and shipped in one IngestBatch call (the paper's once-per-window export).
 func (a *Agent) shipOut() {
 	if a.out != nil {
 		a.out.ship(a.Host.Name)

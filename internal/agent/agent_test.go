@@ -10,20 +10,30 @@ import (
 	"deepflow/internal/simkernel"
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
 
-// memSink collects agent output in memory.
-type memSink struct {
+// collectSink is the decoding collector: it decodes every shipped wire
+// batch and accumulates the rows, so tests assert on what actually crossed
+// the agent→server seam. Rows appear only after the agent flushes.
+type collectSink struct {
 	spans    []*trace.Span
 	flows    []FlowSample
 	profiles []profiling.Sample
 }
 
-func (m *memSink) IngestSpan(s *trace.Span)         { m.spans = append(m.spans, s) }
-func (m *memSink) IngestFlow(f FlowSample)          { m.flows = append(m.flows, f) }
-func (m *memSink) IngestProfile(s profiling.Sample) { m.profiles = append(m.profiles, s) }
+func (m *collectSink) IngestBatch(data []byte) error {
+	b, err := transport.Decode(data)
+	if err != nil {
+		return err
+	}
+	m.spans = append(m.spans, b.Spans...)
+	m.flows = append(m.flows, b.Flows...)
+	m.profiles = append(m.profiles, b.Profiles...)
+	return nil
+}
 
-func (m *memSink) byTap(side trace.TapSide) []*trace.Span {
+func (m *collectSink) byTap(side trace.TapSide) []*trace.Span {
 	var out []*trace.Span
 	for _, s := range m.spans {
 		if s.TapSide == side {
@@ -40,7 +50,7 @@ type rig struct {
 	nodeA      *simnet.Host
 	nodeB      *simnet.Host
 	podC, podS *simnet.Host
-	sink       *memSink
+	sink       *collectSink
 	agents     []*Agent
 }
 
@@ -52,7 +62,7 @@ func newRig(t *testing.T, mode Mode) *rig {
 	nodeB := net.AddHost("node-b", simnet.KindNode, nil)
 	podC := net.AddHost("pod-client", simnet.KindPod, nodeA)
 	podS := net.AddHost("pod-server", simnet.KindPod, nodeB)
-	r := &rig{eng: eng, net: net, nodeA: nodeA, nodeB: nodeB, podC: podC, podS: podS, sink: &memSink{}}
+	r := &rig{eng: eng, net: net, nodeA: nodeA, nodeB: nodeB, podC: podC, podS: podS, sink: &collectSink{}}
 	for _, h := range []*simnet.Host{podC, podS, nodeA, nodeB} {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
@@ -446,6 +456,7 @@ func TestOTelIngest(t *testing.T) {
 	r := newRig(t, ModeFull)
 	sp := &trace.Span{TraceID: "abc123", SpanRef: "s1", RequestResource: "/app-span"}
 	r.agents[0].IngestOTel(sp)
+	r.flushAll()
 	if len(r.sink.spans) != 1 {
 		t.Fatal("otel span not ingested")
 	}

@@ -22,7 +22,7 @@ func benchAgent(tb testing.TB, selfmonOff bool) *Agent {
 	eng := sim.NewEngine(9)
 	net := simnet.NewNetwork(eng, &trace.IDAllocator{})
 	node := net.AddHost("bench-node", simnet.KindNode, nil)
-	ag, err := New(node, cfg, &memSink{})
+	ag, err := New(node, cfg, &collectSink{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func newBareAgent(t *testing.T, cfg Config) *Agent {
 	eng := sim.NewEngine(5)
 	net := simnet.NewNetwork(eng, &trace.IDAllocator{})
 	node := net.AddHost("node-x", simnet.KindNode, nil)
-	ag, err := New(node, cfg, &memSink{})
+	ag, err := New(node, cfg, &collectSink{})
 	if err != nil {
 		t.Fatal(err)
 	}

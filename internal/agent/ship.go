@@ -7,42 +7,11 @@ import (
 	"deepflow/internal/transport"
 )
 
-// BatchSink is the batched wire-transport seam: instead of three per-item
-// method calls, output accumulates in a transport.Batch for one flush
-// window and ships as a single encoded payload. The DeepFlow server
-// implements it (Server.IngestBatch); an agent whose sink does detects it
-// and switches to the wire path automatically.
-type BatchSink interface {
-	IngestBatch([]byte) error
-}
-
-// shipper abstracts how the agent delivers output: the wire path buffers
-// into a batch and ships once per flush window; the per-item path calls
-// the Sink methods directly.
-type shipper interface {
-	span(*trace.Span)
-	flow(transport.FlowSample)
-	profile(profiling.Sample)
-	// ship flushes anything buffered; host stamps the batch origin.
-	ship(host string)
-}
-
-// sinkAdapter keeps the old per-item Sink interface working for sinks that
-// do not implement BatchSink (test fakes, simple collectors): items are
-// delivered synchronously and ship is a no-op.
-type sinkAdapter struct{ s Sink }
-
-func (ad *sinkAdapter) span(sp *trace.Span)         { ad.s.IngestSpan(sp) }
-func (ad *sinkAdapter) flow(f transport.FlowSample) { ad.s.IngestFlow(f) }
-func (ad *sinkAdapter) profile(ps profiling.Sample) { ad.s.IngestProfile(ps) }
-func (ad *sinkAdapter) ship(string)                 {}
-
 // batchShipper buffers one flush window of output and ships it as one
 // wire-encoded batch (the paper's collection plane: compact int-tagged
 // rows, batched like a ClickHouse insert).
 type batchShipper struct {
-	sink BatchSink
-	enc  transport.Encoder
+	sink Sink
 	b    transport.Batch
 	seq  uint64
 
@@ -56,13 +25,14 @@ func (bs *batchShipper) span(sp *trace.Span)         { bs.b.Spans = append(bs.b.
 func (bs *batchShipper) flow(f transport.FlowSample) { bs.b.Flows = append(bs.b.Flows, f) }
 func (bs *batchShipper) profile(ps profiling.Sample) { bs.b.Profiles = append(bs.b.Profiles, ps) }
 
+// ship encodes and delivers anything buffered; host stamps the batch origin.
 func (bs *batchShipper) ship(host string) {
 	if bs.b.Empty() {
 		return
 	}
 	bs.seq++
 	bs.b.Host, bs.b.Seq = host, bs.seq
-	data := bs.enc.Encode(&bs.b)
+	data := transport.Encode(&bs.b)
 	if err := bs.sink.IngestBatch(data); err != nil {
 		if bs.errors != nil {
 			bs.errors.Inc()
@@ -72,15 +42,4 @@ func (bs *batchShipper) ship(host string) {
 		bs.bytes.Add(uint64(len(data)))
 	}
 	bs.b.Reset()
-}
-
-// newShipper picks the delivery path for a sink.
-func newShipper(sink Sink, wire transport.WireEncoding) shipper {
-	if sink == nil {
-		return nil
-	}
-	if bsink, ok := sink.(BatchSink); ok {
-		return &batchShipper{sink: bsink, enc: transport.Encoder{Enc: wire}}
-	}
-	return &sinkAdapter{s: sink}
 }

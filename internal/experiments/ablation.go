@@ -32,7 +32,7 @@ func assembleStats(srv *server.Server, starts []trace.SpanID, iters int, mask se
 	}
 	var spans, depth int
 	for _, id := range starts {
-		tr := srv.Store.AssembleMasked(id, iters, mask)
+		tr := srv.Assemble(id, iters, mask)
 		spans += tr.Len()
 		depth += tr.Depth()
 	}

@@ -68,6 +68,9 @@ func synthSpan(rng *rand.Rand, cluster *k8s.Cluster, pods []*k8s.Pod, i int) *tr
 // MeasureEncodings inserts spanCount synthetic spans into three stores that
 // differ only in tag encoding and reports the resources each used — the
 // Fig. 14 experiment (paper: 10⁷ traces at 2·10⁵ rows/s into ClickHouse).
+// It drives the bare span store (enrich + Insert, what an ingest shard does
+// per span) rather than a server: the store is the only layer the encoding
+// changes.
 func MeasureEncodings(spanCount, podCardinality int) ([]Fig14Row, error) {
 	cluster := synthCluster(podCardinality)
 	reg := server.NewResourceRegistry([]*k8s.Cluster{cluster}, nil)
@@ -87,27 +90,31 @@ func MeasureEncodings(spanCount, podCardinality int) ([]Fig14Row, error) {
 	encodings := []server.Encoding{server.EncodingSmart, server.EncodingDirect, server.EncodingLowCard}
 	// Warm every code path (and grow the heap) before timing anything, so
 	// the first-measured encoding does not absorb one-time costs.
+	insert := func(st *server.SpanStore, sp *trace.Span) {
+		sp.Resource = reg.Enrich(sp.Resource)
+		st.Insert(sp)
+	}
 	for _, enc := range encodings {
-		warm := server.NewWide(reg, enc, wideTags)
+		warm := server.NewSpanStoreWide(enc, reg, wideTags)
 		for _, sp := range spans[:min(len(spans), 5000)] {
-			warm.IngestSpan(sp.Clone())
+			insert(warm, sp.Clone())
 		}
 	}
 
 	var rows []Fig14Row
 	for _, enc := range encodings {
-		srv := server.NewWide(reg, enc, wideTags)
+		st := server.NewSpanStoreWide(enc, reg, wideTags)
 		runtime.GC()
 		start := time.Now()
 		for _, sp := range spans {
-			srv.IngestSpan(sp)
+			insert(st, sp)
 		}
 		elapsed := time.Since(start)
 		rows = append(rows, Fig14Row{
 			Encoding:  enc,
 			InsertNS:  elapsed.Nanoseconds(),
-			MemBytes:  srv.Store.MemBytes(),
-			DiskBytes: srv.Store.DiskBytes(),
+			MemBytes:  st.MemBytes(),
+			DiskBytes: st.DiskBytes(),
 		})
 	}
 	base := rows[0]

@@ -18,17 +18,18 @@ type Fig15Row struct {
 	P90NS  float64
 }
 
-// populateQueryStore fills a store with `traces` assembled-together span
-// groups of `spansPer` spans each, spread over a two-hour window, linked
+// populateQueryStore fills a server with `traces` assembled-together span
+// groups of `spansPer` spans each, spread over a four-hour window, linked
 // the way real workloads link them (TCP seq between hops, systrace within
-// components).
-func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID {
+// components), shipped the way agents ship: encoded batches, then a drain.
+func populateQueryStore(srv *server.Server, traces, spansPer int) ([]trace.SpanID, error) {
 	rng := rand.New(rand.NewSource(7))
 	starts := make([]trace.SpanID, 0, traces)
 	// Spread the corpus over four hours so a 15-minute window selects a
 	// fraction of the data, as in a production store.
 	spacing := 4 * time.Hour / time.Duration(traces)
 	var id uint64
+	var corpus []*trace.Span
 	for t := 0; t < traces; t++ {
 		base := sim.Epoch.Add(time.Duration(t) * spacing)
 		var prev *trace.Span
@@ -66,7 +67,7 @@ func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID
 			if sp.TapSide == trace.TapServerProcess {
 				sp.SysTraceID = trace.SysTraceID(id)
 			}
-			srv.IngestSpan(sp)
+			corpus = append(corpus, sp)
 			if s == 0 {
 				startID = sp.ID
 			}
@@ -74,17 +75,14 @@ func populateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID
 		}
 		starts = append(starts, startID)
 	}
-	return starts
+	for _, b := range ingestBatches(corpus, 512) {
+		if err := srv.IngestBatch(b); err != nil {
+			return nil, err
+		}
+	}
+	srv.Drain()
+	return starts, nil
 }
-
-// PopulateQueryStore exposes the synthetic corpus builder to the
-// benchmark harness.
-func PopulateQueryStore(srv *server.Server, traces, spansPer int) []trace.SpanID {
-	return populateQueryStore(srv, traces, spansPer)
-}
-
-// QueryEpoch returns the corpus origin timestamp.
-func QueryEpoch() time.Time { return sim.Epoch }
 
 // MeasureQueryDelay measures span-list (15-minute window) and trace
 // (Algorithm 1) query latencies, sequentially and randomly — the Fig. 15
@@ -92,7 +90,11 @@ func QueryEpoch() time.Time { return sim.Epoch }
 func MeasureQueryDelay(traces, spansPer, queries int) ([]Fig15Row, error) {
 	reg := server.NewResourceRegistry(nil, nil)
 	srv := server.New(reg, server.EncodingSmart)
-	starts := populateQueryStore(srv, traces, spansPer)
+	defer srv.Close()
+	starts, err := populateQueryStore(srv, traces, spansPer)
+	if err != nil {
+		return nil, err
+	}
 	if queries > len(starts) {
 		queries = len(starts)
 	}

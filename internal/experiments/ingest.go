@@ -28,11 +28,12 @@ type IngestRow struct {
 	QueryDigest uint64
 }
 
-// WireRow is one wire encoding's measured bytes on the wire for the same
-// corpus — the collection-plane face of Fig. 14's smart-encoding claim
-// ("agents send only ints").
+// WireRow is one tag encoding's bytes on the wire for the same corpus — the
+// collection-plane face of Fig. 14's smart-encoding claim ("agents send
+// only ints"). Smart is measured off the real encoder; the two baselines
+// are computed sizes (see wireSizes).
 type WireRow struct {
-	Encoding     transport.WireEncoding
+	Encoding     server.Encoding
 	TotalBytes   int
 	BytesPerSpan float64
 }
@@ -62,6 +63,35 @@ func ingestBatches(spans []*trace.Span, batchSize int) [][]byte {
 		out = append(out, transport.Encode(b))
 	}
 	return out
+}
+
+// wireSizes returns the bytes one batch takes on the wire under the smart
+// encoding (the real encoder's output) and under the two baselines an agent
+// resolving names at the edge would ship: direct appends the six resolved
+// tag names to every span; low-cardinality ships a per-batch name
+// dictionary (count + names, first-appearance order) and six dictionary
+// indexes per span. The baselines are sizes only — nothing encodes or
+// decodes them.
+func wireSizes(b *transport.Batch, resolve func(trace.ResourceTags) [6]string) (smart, direct, lowCard int) {
+	var scratch [binary.MaxVarintLen64]byte
+	uvarintLen := func(v int) int { return binary.PutUvarint(scratch[:], uint64(v)) }
+	dict := map[string]int{}
+	var names, dictNames, indexes int
+	for _, sp := range b.Spans {
+		for _, name := range resolve(sp.Resource) {
+			str := uvarintLen(len(name)) + len(name)
+			names += str
+			idx, ok := dict[name]
+			if !ok {
+				idx = len(dict)
+				dict[name] = idx
+				dictNames += str
+			}
+			indexes += uvarintLen(idx)
+		}
+	}
+	smart = len(transport.Encode(b))
+	return smart, smart + names, smart + uvarintLen(len(dict)) + dictNames + indexes
 }
 
 // queryDigest fingerprints what a user would see: the full span-list
@@ -116,23 +146,22 @@ func MeasureIngest(spanCount, podCardinality, batchSize int, shardCounts []int) 
 
 	// Wire sizes per encoding over the identical corpus. The resolver is
 	// the server registry's query-time decoder — exactly the names the
-	// non-smart encodings would push onto the wire.
+	// non-smart baselines would push onto the wire.
 	resolve := func(rt trace.ResourceTags) [6]string {
 		d := reg.Decode(reg.Enrich(rt))
 		return [6]string{d.Pod, d.Node, d.Service, d.Namespace, d.Region, d.AZ}
 	}
+	var totals [3]int
+	for off := 0; off < len(spans); off += batchSize {
+		b := &transport.Batch{Host: "bench", Spans: spans[off:min(off+batchSize, len(spans))]}
+		smart, direct, lowCard := wireSizes(b, resolve)
+		totals[0] += smart
+		totals[1] += direct
+		totals[2] += lowCard
+	}
 	var wire []WireRow
-	for _, enc := range []transport.WireEncoding{transport.WireSmart, transport.WireDirect, transport.WireLowCard} {
-		e := transport.Encoder{Enc: enc, Resolve: resolve}
-		total := 0
-		for off := 0; off < len(spans); off += batchSize {
-			end := off + batchSize
-			if end > len(spans) {
-				end = len(spans)
-			}
-			total += len(e.Encode(&transport.Batch{Host: "bench", Spans: spans[off:end]}))
-		}
-		wire = append(wire, WireRow{Encoding: enc, TotalBytes: total, BytesPerSpan: float64(total) / float64(len(spans))})
+	for i, enc := range []server.Encoding{server.EncodingSmart, server.EncodingDirect, server.EncodingLowCard} {
+		wire = append(wire, WireRow{Encoding: enc, TotalBytes: totals[i], BytesPerSpan: float64(totals[i]) / float64(len(spans))})
 	}
 
 	// Warm every code path before timing (decode, insert, enrich).

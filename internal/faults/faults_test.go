@@ -9,6 +9,7 @@ import (
 	"deepflow/internal/sim"
 	"deepflow/internal/simnet"
 	"deepflow/internal/trace"
+	"deepflow/internal/transport"
 )
 
 func TestInjectPodErrorComposes(t *testing.T) {
@@ -46,6 +47,16 @@ func TestInjectInfraKnobs(t *testing.T) {
 	}
 }
 
+// ingestSpan ships one span the way agents do — an encoded batch — and
+// waits until it is queryable.
+func ingestSpan(t *testing.T, srv *server.Server, sp *trace.Span) {
+	t.Helper()
+	if err := srv.IngestBatch(transport.Encode(&transport.Batch{Host: "test", Seq: 1, Spans: []*trace.Span{sp}})); err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+}
+
 func TestLocalizeErrorSourceEmpty(t *testing.T) {
 	reg := server.NewResourceRegistry(nil, nil)
 	srv := server.New(reg, server.EncodingSmart)
@@ -62,7 +73,7 @@ func TestLocalizeErrorSourcePicksWorst(t *testing.T) {
 	add := func(host string, status string, n int) {
 		for i := 0; i < n; i++ {
 			id++
-			srv.IngestSpan(&trace.Span{
+			ingestSpan(t, srv, &trace.Span{
 				ID: trace.SpanID(id), TapSide: trace.TapServerProcess,
 				HostName: host, ResponseStatus: status,
 				StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),

@@ -57,17 +57,17 @@ func TestLocalizeUnreachableExcludesServed(t *testing.T) {
 	srv := server.New(reg, server.EncodingSmart)
 	flow := trace.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1000, DstPort: 80, Proto: trace.L4TCP}
 	// A client error whose message WAS served (server answered 500).
-	srv.IngestSpan(&trace.Span{
+	ingestSpan(t, srv, &trace.Span{
 		ID: 1, TapSide: trace.TapClientProcess, Flow: flow, ReqTCPSeq: 5,
 		ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
 	})
-	srv.IngestSpan(&trace.Span{
+	ingestSpan(t, srv, &trace.Span{
 		ID: 2, TapSide: trace.TapServerProcess, Flow: flow, ReqTCPSeq: 5,
 		ResponseStatus: "error", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
 	})
 	// A client timeout that nothing served.
 	dead := trace.FiveTuple{SrcIP: 1, DstIP: 9, SrcPort: 1001, DstPort: 80, Proto: trace.L4TCP}
-	srv.IngestSpan(&trace.Span{
+	ingestSpan(t, srv, &trace.Span{
 		ID: 3, TapSide: trace.TapClientProcess, Flow: dead, ReqTCPSeq: 7,
 		ResponseStatus: "timeout", StartTime: sim.Epoch, EndTime: sim.Epoch.Add(time.Millisecond),
 	})
@@ -100,13 +100,12 @@ func TestLocalizationInconclusiveOnEmptyWindow(t *testing.T) {
 	}
 
 	// Healthy spans only (no errors): still inconclusive.
-	srv.IngestSpan(&trace.Span{
+	ingestSpan(t, srv, &trace.Span{
 		ID: 1, TapSide: trace.TapServerProcess, L7: trace.L7HTTP,
 		Flow:      trace.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 999, DstPort: 80, Proto: trace.L4TCP},
 		StartTime: sim.Epoch.Add(time.Second), EndTime: sim.Epoch.Add(time.Second + 5*time.Millisecond),
 		ProcessName: "web", ResponseStatus: "ok", ResponseCode: 200,
 	})
-	srv.Drain()
 	if got := LocalizeErrorSource(srv, from, to); got.Conclusive() {
 		t.Fatalf("healthy window produced error suspect: %+v", got)
 	}

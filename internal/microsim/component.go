@@ -346,7 +346,7 @@ func (c *Component) handle(req *request, payload []byte) {
 		c.Host.Kernel.InvokeUserFunc(req.th, "ssl_read", req.sock, trace.DirIngress, plain)
 		payload = plain
 	}
-	codec := protocols.ByProto(c.Proto)
+	codec := protocols.Default().Lookup(c.Proto).Codec
 	msg, err := codec.Parse(payload)
 	if err != nil || msg.Type != trace.MsgRequest {
 		c.releaseWorker(req.w)
@@ -492,7 +492,7 @@ func (c *Component) doCall(req *request, i int) {
 					resp = tlsUnwrap(resp)
 					c.Host.Kernel.InvokeUserFunc(req.th, "ssl_read", pc.sock, trace.DirIngress, resp)
 				}
-				if m, err := protocols.ByProto(target.Proto).Parse(resp); err == nil {
+				if m, err := protocols.Default().Lookup(target.Proto).Codec.Parse(resp); err == nil {
 					code, status = m.Code, m.Status
 				}
 			}

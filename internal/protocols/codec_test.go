@@ -281,7 +281,7 @@ func TestInferenceMatrix(t *testing.T) {
 	}
 	for proto, payloads := range samples {
 		for i, payload := range payloads {
-			c := Infer(payload, nil)
+			c := Default().Infer(payload)
 			if c == nil {
 				t.Errorf("%v sample %d: no codec inferred", proto, i)
 				continue
@@ -301,20 +301,28 @@ func TestInferRejectsGarbage(t *testing.T) {
 		[]byte("random text message"), // free text
 		{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 	} {
-		if c := Infer(garbage, nil); c != nil {
+		if c := Default().Infer(garbage); c != nil {
 			t.Errorf("garbage %q inferred as %v", garbage, c.Proto())
 		}
 	}
 }
 
+// isParallel reads the default table's declared trait: whether the protocol
+// multiplexes messages on one connection (responses matched by stream ID)
+// rather than pipelining (FIFO) — paper §3.3.1, session aggregation.
+func isParallel(p trace.L7Proto) bool {
+	e := Default().Lookup(p)
+	return e != nil && e.Traits.Parallel
+}
+
 func TestByProtoAndParallel(t *testing.T) {
-	for _, c := range Registry() {
-		if got := ByProto(c.Proto()); got == nil || got.Proto() != c.Proto() {
-			t.Errorf("ByProto(%v) = %v", c.Proto(), got)
+	for _, c := range Default().Codecs() {
+		if e := Default().Lookup(c.Proto()); e == nil || e.Codec.Proto() != c.Proto() {
+			t.Errorf("Lookup(%v) = %v", c.Proto(), e)
 		}
 	}
-	if ByProto(trace.L7Unknown) != nil {
-		t.Error("ByProto(unknown) should be nil")
+	if Default().Lookup(trace.L7Unknown) != nil {
+		t.Error("Lookup(unknown) should be nil")
 	}
 	if _, err := (TLSCodec{}).Parse([]byte{22, 3, 1, 0, 0}); err == nil {
 		t.Error("TLS payloads must not parse")
@@ -322,19 +330,19 @@ func TestByProtoAndParallel(t *testing.T) {
 	parallel := []trace.L7Proto{trace.L7HTTP2, trace.L7DNS, trace.L7Kafka, trace.L7Dubbo}
 	pipeline := []trace.L7Proto{trace.L7HTTP, trace.L7Redis, trace.L7MySQL, trace.L7MQTT}
 	for _, p := range parallel {
-		if !IsParallel(p) {
+		if !isParallel(p) {
 			t.Errorf("%v should be parallel", p)
 		}
 	}
 	for _, p := range pipeline {
-		if IsParallel(p) {
+		if isParallel(p) {
 			t.Errorf("%v should be pipeline", p)
 		}
 	}
 }
 
 func TestParseMalformedInputs(t *testing.T) {
-	codecs := Registry()
+	codecs := Default().Codecs()
 	inputs := [][]byte{
 		nil, {}, {0}, {1, 2}, []byte("\r\n"), []byte("GET"),
 		[]byte("HTTP/1.1\r\n"),
@@ -357,7 +365,7 @@ func TestParseMalformedInputs(t *testing.T) {
 // Property: codecs never panic on arbitrary bytes, and inference of random
 // bytes never claims Dubbo/HTTP2 (strong magic protocols).
 func TestParseFuzzProperty(t *testing.T) {
-	codecs := Registry()
+	codecs := Default().Codecs()
 	prop := func(data []byte) bool {
 		for _, c := range codecs {
 			func() {

@@ -220,40 +220,3 @@ func Default() *Table {
 	defaultOnce.Do(func() { defaultTable = NewTable() })
 	return defaultTable
 }
-
-// Registry is the ordered codec list used for inference, derived from the
-// default table (built once — no per-call allocation). Callers must not
-// mutate the returned slice.
-func Registry() []Codec { return Default().Codecs() }
-
-// Infer runs one-shot protocol inference, probing user codecs first and
-// then the default table's first-byte dispatch, returning the matching
-// codec or nil.
-func Infer(payload []byte, extra []Codec) Codec {
-	for _, c := range extra {
-		if c.Infer(payload) {
-			return c
-		}
-	}
-	return Default().Infer(payload)
-}
-
-// ByProto returns the builtin codec for a protocol, or nil.
-func ByProto(p trace.L7Proto) Codec {
-	if e := Default().Lookup(p); e != nil {
-		return e.Codec
-	}
-	return nil
-}
-
-// IsParallel reports whether the protocol multiplexes messages on one
-// connection (responses matched by stream ID) rather than pipelining
-// (responses matched in FIFO order) — paper §3.3.1, session aggregation.
-// Derived from the codec's declared traits; unregistered protocols default
-// to pipeline matching.
-func IsParallel(p trace.L7Proto) bool {
-	if e := Default().Lookup(p); e != nil {
-		return e.Traits.Parallel
-	}
-	return false
-}

@@ -72,7 +72,7 @@ func corpus() map[trace.L7Proto][][]byte {
 // higher-priority codec may claim them (so the owner wins by selectivity,
 // not by luck), and full-table inference must return the owner.
 func TestCrossProtocolMatrix(t *testing.T) {
-	codecs := Registry()
+	codecs := Default().Codecs()
 	prio := map[trace.L7Proto]int{}
 	for i, c := range codecs {
 		prio[c.Proto()] = i
@@ -92,7 +92,7 @@ func TestCrossProtocolMatrix(t *testing.T) {
 						proto, i, other.Proto())
 				}
 			}
-			got := Infer(payload, nil)
+			got := Default().Infer(payload)
 			if got == nil {
 				t.Errorf("%v sample %d: no codec inferred", proto, i)
 			} else if got.Proto() != proto {
@@ -153,7 +153,7 @@ func TestParseHeaderAgreesWithParse(t *testing.T) {
 		inputs = append(inputs, payloads...)
 	}
 	inputs = append(inputs, nil, []byte{}, []byte{0, 1, 2, 3}, []byte("garbage input here"))
-	for _, c := range Registry() {
+	for _, c := range Default().Codecs() {
 		hp, ok := c.(HeaderParser)
 		if !ok {
 			continue
@@ -233,18 +233,17 @@ func TestRegisterUserCodec(t *testing.T) {
 	}
 }
 
-// TestDispatchAllocFree pins the satellite requirement: Registry, ByProto,
-// IsParallel, and Infer must not allocate per call.
+// TestDispatchAllocFree pins the satellite requirement: the default table's
+// codec list, protocol lookup and inference must not allocate per call.
 func TestDispatchAllocFree(t *testing.T) {
 	req := EncodeKafkaRequest(KafkaProduce, 9, "t", 0)
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	Default() // build outside the measured region
 	cases := map[string]func(){
-		"Registry":   func() { Registry() },
-		"ByProto":    func() { ByProto(trace.L7Kafka) },
-		"IsParallel": func() { IsParallel(trace.L7DNS) },
-		"Infer-hit":  func() { Infer(req, nil) },
-		"Infer-miss": func() { Infer(garbage, nil) },
+		"Codecs":     func() { Default().Codecs() },
+		"Lookup":     func() { Default().Lookup(trace.L7Kafka) },
+		"Infer-hit":  func() { Default().Infer(req) },
+		"Infer-miss": func() { Default().Infer(garbage) },
 	}
 	for name, fn := range cases {
 		if n := testing.AllocsPerRun(100, fn); n > 0 {
@@ -259,12 +258,12 @@ func TestTraitsMatchDeclaredBehavior(t *testing.T) {
 	parallel := []trace.L7Proto{trace.L7HTTP2, trace.L7GRPC, trace.L7DNS, trace.L7Kafka, trace.L7Dubbo}
 	pipeline := []trace.L7Proto{trace.L7HTTP, trace.L7Redis, trace.L7MySQL, trace.L7Postgres, trace.L7MQTT, trace.L7AMQP}
 	for _, p := range parallel {
-		if !IsParallel(p) {
+		if !isParallel(p) {
 			t.Errorf("%v should be parallel", p)
 		}
 	}
 	for _, p := range pipeline {
-		if IsParallel(p) {
+		if isParallel(p) {
 			t.Errorf("%v should be pipeline", p)
 		}
 	}

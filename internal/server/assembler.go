@@ -28,63 +28,6 @@ const (
 	AssocAll = AssocSysTrace | AssocPseudoThread | AssocXRequestID | AssocTCPSeq | AssocTraceID
 )
 
-// Assemble implements Algorithm 1: starting from a user-chosen span, it
-// iteratively expands the span set through the association indexes
-// (systrace IDs, pseudo-thread IDs, X-Request-IDs, TCP sequences, trace
-// IDs) until a fixed point or the iteration bound, then selects a parent
-// for every span using the 16-rule table and returns a display-ordered
-// trace.
-func (s *SpanStore) Assemble(start trace.SpanID, iterations int) *trace.Trace {
-	return s.AssembleMasked(start, iterations, AssocAll)
-}
-
-// AssembleMasked is Assemble restricted to the given association keys.
-func (s *SpanStore) AssembleMasked(start trace.SpanID, iterations int, mask AssocMask) *trace.Trace {
-	if iterations <= 0 {
-		iterations = DefaultIterations
-	}
-
-	// Phase 1: iterative span search (Algorithm 1 lines 2–16), under the
-	// read lock so ingest workers can keep inserting. The clones taken
-	// here make the later phases lock-free.
-	s.mu.RLock()
-	startRow, ok := s.byID[start]
-	if !ok {
-		s.mu.RUnlock()
-		return nil
-	}
-	inSet := map[int]bool{startRow: true}
-	frontier := []int{startRow}
-	itersUsed := 0
-	for iter := 0; iter < iterations && len(frontier) > 0; iter++ {
-		itersUsed = iter + 1
-		var next []int
-		for _, row := range frontier {
-			for _, rel := range s.relatedMasked(s.spans[row], mask) {
-				if !inSet[rel] {
-					inSet[rel] = true
-					next = append(next, rel)
-				}
-			}
-		}
-		// Termination on fixed point (lines 13–14): no new related spans.
-		frontier = next
-	}
-	spans := make([]*trace.Span, 0, len(inSet))
-	for row := range inSet {
-		spans = append(spans, s.spans[row].Clone())
-	}
-	s.mu.RUnlock()
-
-	if s.mAssembleIters != nil {
-		s.mAssembleIters.Observe(float64(itersUsed))
-	}
-	if s.mAssembleSpans != nil {
-		s.mAssembleSpans.Observe(float64(len(spans)))
-	}
-	return finishTrace(spans, s.ruleHits)
-}
-
 // finishTrace runs Algorithm 1's phases 2–3 on an assembled span set: pick
 // a parent for every span, break fallback-rule cycles, and order for
 // display. The set is canonically ID-sorted first so the parent chosen
@@ -129,12 +72,18 @@ func finishTrace(spans []*trace.Span, ruleHits []*selfmon.Counter) *trace.Trace 
 	return tr
 }
 
-// assembleAcross is Algorithm 1 over a partitioned store: the iterative
-// span search probes every partition's association indexes, so a trace
-// whose spans were hashed to different ingest shards still assembles
-// whole. The result is byte-identical to a single-partition assembly of
-// the same corpus — phase 1's span set is order-insensitive and
-// finishTrace canonicalizes the rest.
+// assembleAcross implements Algorithm 1 over a partitioned store: starting
+// from a user-chosen span, it iteratively expands the span set through the
+// enabled association indexes (systrace IDs, pseudo-thread IDs,
+// X-Request-IDs, TCP sequences, trace IDs) until a fixed point or the
+// iteration bound (lines 2–16), then finishTrace selects a parent for every
+// span using the 16-rule table and orders the trace for display. The search
+// probes every partition's indexes, so a trace whose spans were hashed to
+// different ingest shards still assembles whole, and the result is
+// byte-identical at any partition count over the same corpus — phase 1's
+// span set is order-insensitive and finishTrace canonicalizes the rest.
+// Spans are cloned as they join the set, under each partition's read lock,
+// so ingest workers keep inserting and the later phases are lock-free.
 func assembleAcross(stores []*SpanStore, start trace.SpanID, iterations int, mask AssocMask) *trace.Trace {
 	if iterations <= 0 {
 		iterations = DefaultIterations

@@ -111,6 +111,53 @@ func TestDurableKillReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestDurableNoSpanEntersUnlogged: on a durable 2-shard server every span
+// SpanCount reports before a crash is there after recovery: there is no
+// way in but IngestBatch → WAL → applyBatch, so nothing can be counted that
+// the WAL never saw.
+func TestDurableNoSpanEntersUnlogged(t *testing.T) {
+	reg, _, _ := testRegistry(t)
+	dir := t.TempDir()
+	victim := NewSharded(reg, EncodingSmart, 0, 2)
+	if _, err := victim.AttachDurable(dir, durableTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, victim, shardCorpus(t, reg, 20))
+	// A second wave after the first drained, as the span-at-a-time tests ship.
+	for i := 0; i < 25; i++ {
+		ingestSpans(t, victim, &trace.Span{
+			ID: trace.SpanID(1000 + i), Source: trace.SourceEBPF, TapSide: trace.TapServerProcess,
+			StartTime: sim.Epoch.Add(time.Duration(i) * time.Second), EndTime: sim.Epoch.Add(time.Duration(i)*time.Second + time.Millisecond),
+		})
+	}
+	want := victim.SpanCount()
+	if want != 20*3+25 {
+		t.Fatalf("SpanCount before the crash = %d, want %d", want, 20*3+25)
+	}
+	var ids []trace.SpanID
+	for _, sp := range victim.SpanList(sim.Epoch, sim.Epoch.Add(24*time.Hour), 0) {
+		ids = append(ids, sp.ID)
+	}
+	if len(ids) != want {
+		t.Fatalf("span list holds %d spans, SpanCount %d", len(ids), want)
+	}
+	victim.Kill()
+
+	recovered := NewSharded(reg, EncodingSmart, 0, 2)
+	defer recovered.Close()
+	if _, err := recovered.AttachDurable(dir, durableTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered.SpanCount(); got != want {
+		t.Fatalf("SpanCount after recovery = %d, %d before the crash", got, want)
+	}
+	for _, id := range ids {
+		if recovered.SpanByID(id) == nil {
+			t.Fatalf("span #%d was counted before the crash and is gone after recovery", id)
+		}
+	}
+}
+
 // TestDurableCleanShutdownZeroReplay: Close flushes the memtable into a
 // sealed block and drops the covered WAL, so a clean restart replays zero
 // WAL batches — recovery cost is proportional to what the crash lost, not

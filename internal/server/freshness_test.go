@@ -104,8 +104,7 @@ func TestFreshnessGauges(t *testing.T) {
 		sp.StartTime = sim.Epoch.Add(7 * time.Second)
 		sp.EndTime = sp.StartTime.Add(5 * time.Millisecond)
 	})
-	s.IngestSpan(sp)
-	s.Drain()
+	ingestSpans(t, s, sp)
 
 	lags := s.FreshnessLag(now)
 	if lags[0] != 3*time.Second {
@@ -121,8 +120,7 @@ func TestFreshnessGauges(t *testing.T) {
 		sp.StartTime = sim.Epoch.Add(2 * time.Second)
 		sp.EndTime = sp.StartTime.Add(5 * time.Millisecond)
 	})
-	s.IngestSpan(old)
-	s.Drain()
+	ingestSpans(t, s, old)
 	if lags := s.FreshnessLag(now); lags[0] != 3*time.Second {
 		t.Fatalf("lag after stale row = %v, want 3s", lags[0])
 	}

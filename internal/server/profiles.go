@@ -28,11 +28,6 @@ type ProfileStore struct {
 	table   *storage.Table
 }
 
-// NewProfileStore creates a profile store with the given tag encoding.
-func NewProfileStore(enc Encoding, reg *ResourceRegistry) *ProfileStore {
-	return newProfileStorePart(enc, reg, "")
-}
-
 // newProfileStorePart creates one partition of a sharded profile store.
 func newProfileStorePart(enc Encoding, reg *ResourceRegistry, part string) *ProfileStore {
 	schema := []storage.ColumnDef{
@@ -224,16 +219,6 @@ func topFunctions(samples []profiling.Sample, n int) []FuncStat {
 func (s *ProfileStore) WriteFolded(w io.Writer, from, to time.Time, f ProfileFilter) error {
 	_, err := io.WriteString(w, profiling.FoldedText(s.Query(from, to, f)))
 	return err
-}
-
-// IngestProfile implements the profile leg of agent.Sink: like IngestSpan,
-// the agent's phase-1 tags (VPC, IP) are enriched to integer resource tags
-// here, so profile rows decode through the same dictionaries as spans.
-// Like IngestSpan, the per-item path writes partition 0.
-func (s *Server) IngestProfile(ps profiling.Sample) {
-	ps.Resource = s.Registry.Enrich(ps.Resource)
-	s.Profiles.Insert(ps)
-	s.mProfiles.Inc()
 }
 
 // ProfileSamples answers a profile query merged across the store

@@ -17,7 +17,7 @@ func populateQueryServer(t *testing.T) *Server {
 
 	mk := func(i int, proc string, pod trace.IP, side trace.TapSide, dur time.Duration, status string, code int32) {
 		start := sim.Epoch.Add(time.Duration(i) * time.Millisecond)
-		srv.IngestSpan(&trace.Span{
+		ingestSpans(t, srv, &trace.Span{
 			ID:             ids.NextSpanID(),
 			Source:         trace.SourceEBPF,
 			TapSide:        side,

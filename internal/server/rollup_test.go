@@ -124,16 +124,16 @@ func TestServiceMapEdgesAndDrillDown(t *testing.T) {
 	}
 	s := NewSharded(reg, EncodingSmart, 0, 2)
 	defer s.Close()
-	b := transport.Encode(&transport.Batch{Host: "a", Seq: 1, Spans: spans})
-	if err := s.IngestBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	s.IngestFlow(transport.FlowSample{
-		TS: at(20), Host: "node-1", NIC: "eth0", Tuple: tuple.Canonical(),
-		Delta:         trace.NetMetrics{Resets: 3},
-		KernelPackets: 42, KernelBytes: 4200,
+	// The flow sample ships in a batch of its own, so its rollup partial need
+	// not be the spans'.
+	ingestAll(t, s, [][]byte{
+		transport.Encode(&transport.Batch{Host: "a", Seq: 1, Spans: spans}),
+		transport.Encode(&transport.Batch{Host: "a", Seq: 2, Flows: []transport.FlowSample{{
+			TS: at(20), Host: "node-1", NIC: "eth0", Tuple: tuple.Canonical(),
+			Delta:         trace.NetMetrics{Resets: 3},
+			KernelPackets: 42, KernelBytes: 4200,
+		}}}),
 	})
-	s.Drain()
 
 	m := s.ServiceMap(sim.Epoch, sim.Epoch.Add(time.Hour))
 	if len(m.Edges) != 1 {

@@ -32,9 +32,7 @@ func TestServerSelfMonitoring(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	srv := New(reg, EncodingSmart)
 	spans := buildPathSpans(reg)
-	for _, sp := range spans {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, spans...)
 	tr := srv.Trace(spans[0].ID)
 	if tr == nil || tr.Len() != 6 {
 		t.Fatalf("trace = %v", tr)
@@ -50,8 +48,8 @@ func TestServerSelfMonitoring(t *testing.T) {
 		t.Errorf("storage_rows = %v (found=%v), want 6", v, ok)
 	}
 	if v, ok := sampleValue(snap, "deepflow_server_storage_disk_bytes",
-		map[string]string{"encoding": "smart-encoding"}); !ok || int64(v) != srv.Store.DiskBytes() {
-		t.Errorf("storage_disk_bytes = %v, want %d", v, srv.Store.DiskBytes())
+		map[string]string{"encoding": "smart-encoding"}); !ok || int64(v) != srv.stores[0].DiskBytes() {
+		t.Errorf("storage_disk_bytes = %v, want %d", v, srv.stores[0].DiskBytes())
 	}
 
 	// 5 of 6 spans got a parent; every decision must be attributed to a rule.

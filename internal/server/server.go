@@ -21,16 +21,14 @@ import (
 // spans, and answers span-list, trace-assembly, and correlated-metric
 // queries.
 //
-// Ingest is sharded: encoded batches land on a bounded queue and N workers
-// decode and enrich them in parallel, each into its own store partition
-// (the ClickHouse-style parallel-ingest architecture behind the paper's
-// 2·10⁵ rows/s/node figure). Queries merge across partitions, so callers
-// never see the sharding. The per-item IngestSpan/IngestFlow/IngestProfile
-// methods remain as the synchronous single-partition path (agent.Sink).
+// Ingest is sharded and has one entrance, IngestBatch (agent.Sink): encoded
+// batches land on a bounded queue and N workers decode and enrich them in
+// parallel, each into its own store partition (the ClickHouse-style
+// parallel-ingest architecture behind the paper's 2·10⁵ rows/s/node
+// figure). Queries merge across partitions, so callers never see the
+// sharding — no partition is reachable from outside the package.
 type Server struct {
 	Registry *ResourceRegistry
-	Store    *SpanStore    // partition 0: target of the per-item ingest path
-	Profiles *ProfileStore // partition 0
 	Metrics  *metrics.Store
 
 	// Mon is the server's self-monitoring registry (Fig. 19-style
@@ -72,16 +70,10 @@ func New(reg *ResourceRegistry, enc Encoding) *Server {
 	return NewSharded(reg, enc, 0, 1)
 }
 
-// NewWide creates a server whose store materializes `wide` extra derived
-// tag columns under non-smart encodings (see NewSpanStoreWide).
-func NewWide(reg *ResourceRegistry, enc Encoding, wide int) *Server {
-	return NewSharded(reg, enc, wide, 1)
-}
-
 // NewSharded creates a server with `shards` parallel ingest workers, each
-// owning its own span and profile store partition. Workers start lazily on
-// the first IngestBatch, so a server used only through the per-item path
-// never spawns goroutines.
+// owning its own span and profile store partition; `wide` is
+// NewSpanStoreWide's. Workers start lazily on the first IngestBatch, so a
+// server that is only queried never spawns goroutines.
 func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 	if shards <= 0 {
 		shards = 1
@@ -102,12 +94,10 @@ func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 		if i > 0 {
 			part = fmt.Sprintf(".p%d", i)
 		}
-		s.stores = append(s.stores, newSpanStorePart(enc, reg, wide, part))
+		s.stores = append(s.stores, NewSpanStoreWide(enc, reg, wide))
 		s.profiles = append(s.profiles, newProfileStorePart(enc, reg, part))
 		s.rollups = append(s.rollups, rollup.NewPartial(resolve))
 	}
-	s.Store = s.stores[0]
-	s.Profiles = s.profiles[0]
 	s.ingestedThrough = make([]atomic.Int64, shards)
 
 	s.mSpans = s.Mon.Counter("deepflow_server_spans_ingested")
@@ -168,7 +158,7 @@ func NewSharded(reg *ResourceRegistry, enc Encoding, wide, shards int) *Server {
 // Shards returns the number of ingest shards.
 func (s *Server) Shards() int { return len(s.stores) }
 
-// SpansIngested returns the number of spans ingested (batch + per-item).
+// SpansIngested returns the number of spans ingested.
 func (s *Server) SpansIngested() int { return int(s.mSpans.Value()) }
 
 // FlowsIngested returns the number of flow samples ingested.
@@ -268,9 +258,10 @@ func (s *Server) ingestWorker(shard int) {
 }
 
 // applyBatch folds one decoded batch into shard's queryable state — store,
-// rollup, metrics, freshness. It is the single ingest path: live batches
-// and WAL/block replay (AttachDurable) both come through here, which is
-// what makes crash recovery byte-identical with an uninterrupted run.
+// rollup, metrics, freshness. It is the single ingest path: every live row
+// arrives in a batch the worker has already WAL-logged, and WAL/block
+// replay (AttachDurable) comes through here too, which is what makes crash
+// recovery byte-identical with an uninterrupted run.
 // Enrich is a read-only registry lookup, so re-enriching replayed rows is
 // idempotent.
 func (s *Server) applyBatch(shard int, b *transport.Batch) {
@@ -347,25 +338,8 @@ func (s *Server) FreshnessLag(now time.Time) []time.Duration {
 	return out
 }
 
-// IngestSpan implements agent.Sink: smart-encoding phase 2 (resolve VPC+IP
-// to integer resource tags) happens here, then the span is stored in
-// partition 0.
-func (s *Server) IngestSpan(sp *trace.Span) {
-	sp.Resource = s.Registry.Enrich(sp.Resource)
-	s.Store.Insert(sp)
-	s.rollups[0].ObserveSpan(sp)
-	s.mSpans.Inc()
-	s.advanceFreshness(0, sp.StartTime.UnixNano())
-}
-
-// IngestFlow implements agent.Sink: flow metric deltas become series in the
+// ingestFlow turns one flow sample's metric deltas into series in the
 // metrics plane, tagged so they correlate with traces (§3.4).
-func (s *Server) IngestFlow(f transport.FlowSample) {
-	s.ingestFlow(f)
-	s.rollups[0].ObserveFlow(f)
-	s.advanceFreshness(0, f.TS.UnixNano())
-}
-
 func (s *Server) ingestFlow(f transport.FlowSample) {
 	tags := map[string]string{
 		"host": f.Host,
@@ -398,8 +372,9 @@ func (s *Server) ingestFlow(f transport.FlowSample) {
 func (s *Server) SpanList(from, to time.Time, limit int) []*trace.Span {
 	var all []*trace.Span
 	for _, st := range s.stores {
-		// A span in the global top-`limit` is in its own partition's
-		// top-`limit`, so the per-partition cap is sufficient.
+		// Each partition cuts by the same (StartTime, ID) total order the
+		// merge below uses, so a span in the global top-`limit` is in its
+		// own partition's top-`limit` — ties at the cut included.
 		all = append(all, st.SpanList(from, to, limit)...)
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -439,7 +414,15 @@ func (s *Server) SpanCount() int {
 // partition — a trace whose spans were ingested by different shards still
 // assembles whole.
 func (s *Server) Trace(start trace.SpanID) *trace.Trace {
-	return assembleAcross(s.stores, start, DefaultIterations, AssocAll)
+	return s.Assemble(start, DefaultIterations, AssocAll)
+}
+
+// Assemble is Trace with an explicit iteration bound (<= 0 means
+// DefaultIterations) and restricted to the given association keys — the
+// knobs the ablation experiments turn, on the same cross-partition path
+// Trace runs.
+func (s *Server) Assemble(start trace.SpanID, iterations int, mask AssocMask) *trace.Trace {
+	return assembleAcross(s.stores, start, iterations, mask)
 }
 
 // DecoratedSpan is a span expanded with query-time tag names (Fig. 8 ⑧).

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -120,9 +121,7 @@ func TestAssembleFullPath(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	srv := New(reg, EncodingSmart)
 	spans := buildPathSpans(reg)
-	for _, sp := range spans {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, spans...)
 	tr := srv.Trace(spans[0].ID) // start from client A span
 	if tr == nil || tr.Len() != 6 {
 		t.Fatalf("trace len = %v", tr)
@@ -172,13 +171,19 @@ func TestAssembleUnknownSpan(t *testing.T) {
 	}
 }
 
+// TestAssembleIterationBound runs on the path production runs — the
+// cross-partition search — at 1 and 2 shards, which must agree span for span
+// at every bound.
 func TestAssembleIterationBound(t *testing.T) {
 	reg, _, _ := testRegistry(t)
-	srv := New(reg, EncodingSmart)
+	srv, srv2 := New(reg, EncodingSmart), NewSharded(reg, EncodingSmart, 0, 2)
+	defer srv.Close()
+	defer srv2.Close()
 	// Chain of 40 spans linked pairwise by shared systrace ids:
 	// span i has systrace i and x-request-id linking to i+1.
 	var prev *trace.Span
 	var first trace.SpanID
+	var chain []*trace.Span
 	for i := 0; i < 40; i++ {
 		i := i
 		sp := mkSpan(func(sp *trace.Span) {
@@ -194,19 +199,28 @@ func TestAssembleIterationBound(t *testing.T) {
 				l.XRequestID = "xr-" + string(rune('A'+i))
 			})
 			sp.XRequestID = link.XRequestID
-			srv.IngestSpan(link)
+			chain = append(chain, link)
 		} else {
 			first = sp.ID
 		}
-		srv.IngestSpan(sp)
+		chain = append(chain, sp)
 		prev = sp
 	}
+	ingestSpans(t, srv, chain...)
+	ingestSpans(t, srv2, chain...)
 	// With 2 iterations, only a prefix of the chain is found; the default
 	// 30 iterations reach further; 100 iterations find the whole chain
 	// (each iteration expands one association hop).
-	small := srv.Store.Assemble(first, 2)
-	deflt := srv.Store.Assemble(first, DefaultIterations)
-	full := srv.Store.Assemble(first, 100)
+	small := srv.Assemble(first, 2, AssocAll)
+	deflt := srv.Assemble(first, DefaultIterations, AssocAll)
+	full := srv.Assemble(first, 100, AssocAll)
+	for _, iters := range []int{1, 2, 7, DefaultIterations, 100} {
+		sameTrace(t, fmt.Sprintf("%d iterations", iters),
+			srv.Assemble(first, iters, AssocAll), srv2.Assemble(first, iters, AssocAll))
+	}
+	if byDefault := srv.Assemble(first, 0, AssocAll); byDefault.Len() != deflt.Len() {
+		t.Fatalf("iterations <= 0 found %d spans, the default bound %d", byDefault.Len(), deflt.Len())
+	}
 	if small.Len() >= deflt.Len() || deflt.Len() >= full.Len() {
 		t.Fatalf("iteration bound ineffective: %d / %d / %d", small.Len(), deflt.Len(), full.Len())
 	}
@@ -220,7 +234,7 @@ func TestSpanListWindowAndLimit(t *testing.T) {
 	srv := New(reg, EncodingSmart)
 	for i := 0; i < 100; i++ {
 		i := i
-		srv.IngestSpan(mkSpan(func(sp *trace.Span) {
+		ingestSpans(t, srv, mkSpan(func(sp *trace.Span) {
 			sp.StartTime = sim.Epoch.Add(time.Duration(i) * time.Second)
 			sp.EndTime = sp.StartTime.Add(time.Millisecond)
 		}))
@@ -272,9 +286,7 @@ func TestOTelIntegrationRules(t *testing.T) {
 		sp.SysTraceID = 500
 		sp.StartTime, sp.EndTime = at(30), at(70)
 	})
-	for _, sp := range []*trace.Span{sEBPF, app, child, ebpfClient} {
-		srv.IngestSpan(sp)
-	}
+	ingestSpans(t, srv, sEBPF, app, child, ebpfClient)
 	tr := srv.Trace(sEBPF.ID)
 	if tr.Len() != 4 {
 		t.Fatalf("trace len = %d", tr.Len())
@@ -297,22 +309,22 @@ func TestOTelIntegrationRules(t *testing.T) {
 func TestEncodingResourceOrdering(t *testing.T) {
 	reg, cluster, _ := testRegistry(t)
 	pod := cluster.Pod("frontend-0")
-	build := func(enc Encoding) *Server {
+	build := func(enc Encoding) int64 {
 		srv := New(reg, enc)
-		for i := 0; i < 5000; i++ {
-			srv.IngestSpan(mkSpan(func(sp *trace.Span) {
+		defer srv.Close()
+		spans := make([]*trace.Span, 5000)
+		for i := range spans {
+			spans[i] = mkSpan(func(sp *trace.Span) {
 				sp.Resource.IP = pod.IP
 				sp.XRequestID = "xr"
-			}))
+			})
 		}
-		return srv
+		ingestSpans(t, srv, spans...)
+		return srv.stores[0].DiskBytes()
 	}
-	smart := build(EncodingSmart)
-	direct := build(EncodingDirect)
-	low := build(EncodingLowCard)
-	if !(smart.Store.DiskBytes() < low.Store.DiskBytes() && low.Store.DiskBytes() < direct.Store.DiskBytes()) {
-		t.Fatalf("disk: smart=%d low=%d direct=%d not ordered",
-			smart.Store.DiskBytes(), low.Store.DiskBytes(), direct.Store.DiskBytes())
+	smart, direct, low := build(EncodingSmart), build(EncodingDirect), build(EncodingLowCard)
+	if !(smart < low && low < direct) {
+		t.Fatalf("disk: smart=%d low=%d direct=%d not ordered", smart, low, direct)
 	}
 }
 
@@ -320,13 +332,12 @@ func TestIngestFlowAndCorrelation(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	srv := New(reg, EncodingSmart)
 	ts := sim.Epoch.Add(time.Second)
-	srv.IngestFlow(agent.FlowSample{
+	sp := mkSpan(func(sp *trace.Span) { sp.Flow = flowAB })
+	ingestRows(t, srv, []*trace.Span{sp}, []agent.FlowSample{{
 		TS: ts, Host: "node-1", NIC: "node/node-1",
 		Tuple: flowAB.Canonical(),
 		Delta: trace.NetMetrics{Resets: 3, Retransmissions: 2, RTT: time.Millisecond},
-	})
-	sp := mkSpan(func(sp *trace.Span) { sp.Flow = flowAB })
-	srv.IngestSpan(sp)
+	}}, nil)
 
 	series := srv.RelatedMetrics(sp, "net.resets", sim.Epoch, sim.Epoch.Add(time.Minute))
 	if len(series) != 1 || series[0].Points[0].Value != 3 {
@@ -346,8 +357,8 @@ func TestFormatTrace(t *testing.T) {
 	spans := buildPathSpans(reg)
 	for _, sp := range spans {
 		sp.RequestType, sp.RequestResource, sp.ResponseCode, sp.ResponseStatus = "GET", "/x", 200, "ok"
-		srv.IngestSpan(sp)
 	}
+	ingestSpans(t, srv, spans...)
 	out := srv.FormatTrace(srv.Trace(spans[0].ID))
 	if !strings.Contains(out, "[c]") || !strings.Contains(out, "[s]") || !strings.Contains(out, "GET /x") {
 		t.Fatalf("format output:\n%s", out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func shardCorpus(t *testing.T, reg *ResourceRegistry, nTraces int) [][]byte {
 	return batches
 }
 
-func ingestAll(t *testing.T, s *Server, batches [][]byte) {
+func ingestAll(t testing.TB, s *Server, batches [][]byte) {
 	t.Helper()
 	for _, b := range batches {
 		if err := s.IngestBatch(b); err != nil {
@@ -97,6 +98,33 @@ func ingestAll(t *testing.T, s *Server, batches [][]byte) {
 		}
 	}
 	s.Drain()
+}
+
+// ingestRows is the tests' way in, which is the product's only one: rows are
+// wire-encoded, pushed through IngestBatch and drained, so they are
+// queryable on return. Spans go three to a batch (flows and profiles ride
+// in the first) so a sharded server spreads even a small corpus over its
+// partitions. The server stores decoded copies, never the caller's
+// pointers — an assertion on the stored span re-reads it through SpanByID.
+func ingestRows(t testing.TB, s *Server, spans []*trace.Span, flows []transport.FlowSample, profiles []profiling.Sample) {
+	t.Helper()
+	const perBatch = 3
+	var batches [][]byte
+	for off := 0; off == 0 || off < len(spans); off += perBatch {
+		b := &transport.Batch{Host: "test-agent", Seq: uint64(len(batches) + 1),
+			Spans: spans[off:min(off+perBatch, len(spans))]}
+		if off == 0 {
+			b.Flows, b.Profiles = flows, profiles
+		}
+		batches = append(batches, transport.Encode(b))
+	}
+	ingestAll(t, s, batches)
+}
+
+// ingestSpans is ingestRows for span-only corpora.
+func ingestSpans(t testing.TB, s *Server, spans ...*trace.Span) {
+	t.Helper()
+	ingestRows(t, s, spans, nil, nil)
 }
 
 // TestShardMergeDeterminism feeds the identical batch stream into a 1-shard
@@ -178,6 +206,49 @@ func TestShardMergeDeterminism(t *testing.T) {
 
 // TestIngestBatchBasic covers the batch path end to end: rows land, counts
 // add up, flows become flow-log spans, and profiles are queryable.
+// TestSpanListTiesAtTheCut: when several spans share the StartTime the
+// limit cuts through, which of them make the list is decided by the
+// (StartTime, ID) total order alone — not by the shard count, the partition
+// a span landed in, or its arrival order.
+func TestSpanListTiesAtTheCut(t *testing.T) {
+	reg, _, _ := testRegistry(t)
+	at := func(ms int) time.Time { return sim.Epoch.Add(time.Duration(ms) * time.Millisecond) }
+	// Arrival order scrambles IDs; eight spans tie at 5 ms, two are newer,
+	// three older. Any limit from 3 to 9 cuts inside the tie.
+	var corpus []*trace.Span
+	for _, c := range []struct {
+		id trace.SpanID
+		ms int
+	}{{7, 5}, {2, 9}, {11, 1}, {5, 5}, {13, 1}, {1, 5}, {9, 5}, {4, 5}, {12, 1}, {3, 9}, {8, 5}, {6, 5}, {10, 5}} {
+		corpus = append(corpus, &trace.Span{ID: c.id, Source: trace.SourceEBPF,
+			StartTime: at(c.ms), EndTime: at(c.ms + 1)})
+	}
+	want := append([]*trace.Span(nil), corpus...)
+	sort.Slice(want, func(i, j int) bool {
+		if !want[i].StartTime.Equal(want[j].StartTime) {
+			return want[i].StartTime.After(want[j].StartTime)
+		}
+		return want[i].ID > want[j].ID
+	})
+	for _, shards := range []int{1, 2} {
+		s := NewSharded(reg, EncodingSmart, 0, shards)
+		ingestSpans(t, s, corpus...)
+		s.Close()
+		for limit := 1; limit <= len(corpus); limit++ {
+			got := s.SpanList(sim.Epoch, at(100), limit)
+			if len(got) != limit {
+				t.Fatalf("%d shards, limit %d: %d spans", shards, limit, len(got))
+			}
+			for i, sp := range got {
+				if sp.ID != want[i].ID {
+					t.Fatalf("%d shards, limit %d: position %d is #%d, the total order says #%d",
+						shards, limit, i, sp.ID, want[i].ID)
+				}
+			}
+		}
+	}
+}
+
 func TestIngestBatchBasic(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	s := NewSharded(reg, EncodingSmart, 0, 2)

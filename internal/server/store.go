@@ -65,7 +65,7 @@ type SpanStore struct {
 	byTCPSeq   map[uint32][]int           // dflint:guardedby mu
 	byTraceID  map[string][]int           // dflint:guardedby mu
 
-	// timeIdx orders rows by start time for span-list queries.
+	// timeIdx orders rows by (start time, span ID) for span-list queries.
 	timeIdx   []int // dflint:guardedby mu
 	timeDirty bool  // dflint:guardedby mu
 
@@ -82,24 +82,14 @@ type SpanStore struct {
 	mAssocExpand []*selfmon.Counter
 }
 
-// NewSpanStore creates a store with the given tag encoding.
-func NewSpanStore(enc Encoding, reg *ResourceRegistry) *SpanStore {
-	return NewSpanStoreWide(enc, reg, 0)
-}
-
-// NewSpanStoreWide creates a store that additionally materializes `wide`
-// derived tag columns (pod labels, cloud attributes, …) for the direct and
-// low-cardinality encodings. Smart encoding stores none of them: they are
-// derived from the integer resource tags at query time, which is exactly
-// the saving Fig. 14 measures ("up to 100 tags might be related to a
-// single trace").
+// NewSpanStoreWide creates a store — one partition of a sharded server, or
+// the bare store Fig. 14 inserts into — that additionally materializes
+// `wide` derived tag columns (pod labels, cloud attributes, …) for the
+// direct and low-cardinality encodings. Smart encoding stores none of them:
+// they are derived from the integer resource tags at query time, which is
+// exactly the saving Fig. 14 measures ("up to 100 tags might be related to
+// a single trace").
 func NewSpanStoreWide(enc Encoding, reg *ResourceRegistry, wide int) *SpanStore {
-	return newSpanStorePart(enc, reg, wide, "")
-}
-
-// newSpanStorePart creates one partition of a sharded store; part suffixes
-// the backing table's name so per-partition tables stay distinguishable.
-func newSpanStorePart(enc Encoding, reg *ResourceRegistry, wide int, part string) *SpanStore {
 	s := &SpanStore{
 		Encoding:   enc,
 		reg:        reg,
@@ -244,7 +234,7 @@ func (s *SpanStore) Insert(sp *trace.Span) {
 // re-materialize the table from the surviving spans through the identical
 // row path.
 func (s *SpanStore) writeRow(sp *trace.Span) {
-	// Positional, in newSpanStorePart's schema order: eleven fixed columns,
+	// Positional, in NewSpanStoreWide's schema order: eleven fixed columns,
 	// the six resource tags, then the wide tags.
 	c := s.cols
 	c[0].AppendInt(int64(sp.ID))
@@ -361,14 +351,21 @@ func (s *SpanStore) DiskBytes() int64 { return s.table.DiskBytes() }
 // Table exposes the backing columnar table.
 func (s *SpanStore) Table() *storage.Table { return s.table }
 
-// SpanList returns spans with StartTime in [from, to), newest-first,
-// capped at limit (0 = unlimited) — the paper's span-list query (Fig. 15).
+// SpanList returns spans with StartTime in [from, to), newest-first (span
+// ID descending on ties), capped at limit (0 = unlimited) — the paper's span-list query (Fig. 15).
 func (s *SpanStore) SpanList(from, to time.Time, limit int) []*trace.Span {
 	s.mu.Lock() // full lock: the query lazily re-sorts the time index
 	defer s.mu.Unlock()
 	if s.timeDirty {
+		// (StartTime, ID) ascending — read backwards below, that is the
+		// total order Server.SpanList merges by, so the cut at limit keeps
+		// the same spans whichever partitions hold the ones tied at it.
 		sort.Slice(s.timeIdx, func(i, j int) bool {
-			return s.spans[s.timeIdx[i]].StartTime.Before(s.spans[s.timeIdx[j]].StartTime)
+			a, b := s.spans[s.timeIdx[i]], s.spans[s.timeIdx[j]]
+			if c := a.StartTime.Compare(b.StartTime); c != 0 {
+				return c < 0
+			}
+			return a.ID < b.ID
 		})
 		s.timeDirty = false
 	}
@@ -393,7 +390,7 @@ func (s *SpanStore) SpanList(from, to time.Time, limit int) []*trace.Span {
 // relatedMasked returns the row IDs sharing any enabled association key
 // with sp, implementing the filter expansion of Algorithm 1 (lines 6–10).
 //
-//dflint:allow lockcheck -- caller holds s.mu: only reached from relatedSpans and AssembleMasked, both under RLock
+//dflint:allow lockcheck -- caller holds s.mu: only reached from relatedSpans, under RLock
 func (s *SpanStore) relatedMasked(sp *trace.Span, mask AssocMask) []int {
 	var rows []int
 	if mask&AssocSysTrace != 0 && sp.SysTraceID != 0 {

@@ -1,9 +1,9 @@
 // Package transport is the batched collection plane between DeepFlow
 // agents and the server (paper §3.4: agents ship compact int-tagged rows to
-// a server ingesting ~2·10⁵ rows/s/node). It replaces per-item method calls
-// with a flush-window Batch envelope, a compact binary wire codec whose
-// size is measurable in bytes (so smart encoding's "agents send only ints"
-// claim shows up on the wire, not just in storage), and a bounded queue
+// a server ingesting ~2·10⁵ rows/s/node). It is the one agent→server seam:
+// a flush-window Batch envelope, a compact binary wire codec whose size is
+// measurable in bytes (so smart encoding's "agents send only ints" claim
+// shows up on the wire, not just in storage), and a bounded queue
 // with backpressure waits and counted — never silent — drops feeding the
 // server's parallel ingest shards.
 package transport
@@ -33,7 +33,7 @@ type FlowSample struct {
 
 // Batch is one flush window's output from one agent: every span, flow
 // sample, and profile sample accumulated since the previous flush, shipped
-// as a single wire message instead of per-item calls.
+// as a single wire message.
 type Batch struct {
 	Host string // emitting agent's host
 	Seq  uint64 // per-agent batch sequence number (gap = lost batch)

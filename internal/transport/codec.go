@@ -11,103 +11,31 @@ import (
 
 func nsUTC(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
-// Wire format: a two-byte header (magic, version|encoding), the emitting
-// host, a batch sequence number, three row counts, then the row sections.
-// All integers are varints; strings are length-prefixed (see trace/wire.go
-// for the per-span layout).
+// Wire format: a two-byte header (magic, version in the high nibble and a
+// zero encoding nibble), the emitting host, a batch sequence number, three
+// row counts, then the row sections. All integers are varints; strings are
+// length-prefixed (see trace/wire.go for the per-span layout). Resource
+// tags travel as eight small integers (VPC + IP and six zero placeholders
+// the server fills) — the paper's smart encoding, the only wire format:
+// Decode refuses a non-zero encoding nibble (1 and 2 are what a direct or
+// low-cardinality batch, the baselines `dfbench ingest` sizes, would claim).
 const (
 	wireMagic   = 0xDF
 	wireVersion = 1
 )
 
-// WireEncoding selects how resource tags travel on the wire — the
-// transport-plane analogue of the server's storage Encoding, swept by the
-// `dfbench ingest` experiment. The live path always uses WireSmart.
-type WireEncoding uint8
-
-// Wire encodings.
-const (
-	// WireSmart ships resource tags as eight small integers (VPC + IP and
-	// six zero placeholders the server fills) — DeepFlow's design.
-	WireSmart WireEncoding = iota
-	// WireDirect additionally ships the six resolved tag names as raw
-	// strings per span, as an agent would if names were resolved at the
-	// edge ("direct storing" moved to the wire).
-	WireDirect
-	// WireLowCard ships resolved names through a per-batch dictionary:
-	// names once, per-span indexes.
-	WireLowCard
-)
-
-func (e WireEncoding) String() string {
-	switch e {
-	case WireSmart:
-		return "smart-encoding"
-	case WireDirect:
-		return "direct"
-	case WireLowCard:
-		return "low-cardinality"
-	default:
-		return "wire?"
-	}
-}
-
-// TagResolver resolves a span's integer resource tags to the six tag names
-// (pod, node, service, namespace, region, az). Only the non-smart
-// encodings need one; the experiment passes the server registry's decoder.
-type TagResolver func(trace.ResourceTags) [6]string
-
-// Encoder serializes batches under one wire encoding.
-type Encoder struct {
-	Enc     WireEncoding
-	Resolve TagResolver // required for WireDirect / WireLowCard
-}
-
-// Encode serializes a batch. The smart encoding is canonical and lossless:
-// Decode(Encode(b)) round-trips every field. The direct and low-cardinality
-// encodings append resolved tag names after each span — redundant bytes
-// derived from the integer tags, which is exactly the waste the experiment
-// measures — and Decode discards them.
-func (e *Encoder) Encode(b *Batch) []byte {
+// Encode serializes a batch. The encoding is canonical and lossless:
+// Decode(Encode(b)) round-trips every field.
+func Encode(b *Batch) []byte {
 	buf := make([]byte, 0, 256+64*b.Rows())
-	buf = append(buf, wireMagic, wireVersion<<4|byte(e.Enc))
+	buf = append(buf, wireMagic, wireVersion<<4)
 	buf = trace.AppendString(buf, b.Host)
 	buf = binary.AppendUvarint(buf, b.Seq)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Spans)))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Flows)))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Profiles)))
-
-	var dict map[string]uint64
-	if e.Enc == WireLowCard {
-		// Per-batch name dictionary, in first-appearance order.
-		dict = make(map[string]uint64)
-		var names []string
-		for _, sp := range b.Spans {
-			for _, name := range e.resolve(sp.Resource) {
-				if _, ok := dict[name]; !ok {
-					dict[name] = uint64(len(names))
-					names = append(names, name)
-				}
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(names)))
-		for _, name := range names {
-			buf = trace.AppendString(buf, name)
-		}
-	}
-
 	for _, sp := range b.Spans {
 		buf = trace.AppendSpan(buf, sp)
-		switch e.Enc {
-		case WireDirect:
-			for _, name := range e.resolve(sp.Resource) {
-				buf = trace.AppendString(buf, name)
-			}
-		case WireLowCard:
-			for _, name := range e.resolve(sp.Resource) {
-				buf = binary.AppendUvarint(buf, dict[name])
-			}
-		}
 	}
 	for i := range b.Flows {
 		buf = AppendFlowSample(buf, &b.Flows[i])
@@ -118,24 +46,9 @@ func (e *Encoder) Encode(b *Batch) []byte {
 	return buf
 }
 
-func (e *Encoder) resolve(rt trace.ResourceTags) [6]string {
-	if e.Resolve == nil {
-		return [6]string{}
-	}
-	return e.Resolve(rt)
-}
-
-// Encode serializes a batch under the canonical smart wire encoding — the
-// live agent→server path.
-func Encode(b *Batch) []byte {
-	enc := Encoder{Enc: WireSmart}
-	return enc.Encode(b)
-}
-
-// Decode deserializes a batch produced by any wire encoding. Tag-name
-// blocks of the non-smart encodings are validated and discarded: the
-// integer tags they were derived from travel in the span itself, so decode
-// is lossless for every encoding.
+// Decode deserializes a batch produced by Encode. It is the untrusted-bytes
+// boundary of the collection plane: anything but a well-formed smart batch
+// with no trailing bytes is an error.
 func Decode(data []byte) (*Batch, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("transport: batch too short (%d bytes)", len(data))
@@ -143,12 +56,11 @@ func Decode(data []byte) (*Batch, error) {
 	if data[0] != wireMagic {
 		return nil, fmt.Errorf("transport: bad magic 0x%02x", data[0])
 	}
-	version, enc := data[1]>>4, WireEncoding(data[1]&0x0f)
-	if version != wireVersion {
+	if version := data[1] >> 4; version != wireVersion {
 		return nil, fmt.Errorf("transport: unsupported wire version %d", version)
 	}
-	if enc > WireLowCard {
-		return nil, fmt.Errorf("transport: unknown wire encoding %d", enc)
+	if enc := data[1] & 0x0f; enc != 0 {
+		return nil, fmt.Errorf("transport: unsupported wire encoding %d", enc)
 	}
 	r := trace.WireReader{Data: data, Pos: 2}
 	b := &Batch{}
@@ -165,36 +77,13 @@ func Decode(data []byte) (*Batch, error) {
 			nSpans, nFlows, nProfiles, len(data))
 	}
 
-	var dictLen uint64
-	if enc == WireLowCard {
-		dictLen = r.Uvarint()
-		for i := uint64(0); i < dictLen && r.Err == nil; i++ {
-			_ = r.String() // names are redundant with the integer tags
-		}
-	}
-
 	b.Spans = make([]*trace.Span, 0, nSpans)
 	for i := uint64(0); i < nSpans; i++ {
-		if r.Err != nil {
-			return nil, r.Err
-		}
 		sp, n, err := trace.DecodeSpan(data[r.Pos:])
 		if err != nil {
 			return nil, err
 		}
 		r.Pos += n
-		switch enc {
-		case WireDirect:
-			for j := 0; j < 6; j++ {
-				_ = r.String() // redundant resolved names, discarded
-			}
-		case WireLowCard:
-			for j := 0; j < 6; j++ {
-				if idx := r.Uvarint(); idx >= dictLen && r.Err == nil {
-					return nil, fmt.Errorf("transport: tag index %d out of dictionary (%d)", idx, dictLen)
-				}
-			}
-		}
 		b.Spans = append(b.Spans, sp)
 	}
 	for i := uint64(0); i < nFlows && r.Err == nil; i++ {

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,64 +146,85 @@ func batchEqual(t *testing.T, a, b *Batch) bool {
 }
 
 // TestCodecRoundTripProperty: for randomized batches — including empty
-// ones and max-size tags — Decode(Encode(b)) equals b under every wire
-// encoding (the non-smart name blocks are derived data and must not leak
-// into the decoded batch).
+// ones and max-size tags — Decode(Encode(b)) equals b.
 func TestCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	resolve := func(rt trace.ResourceTags) [6]string {
-		return [6]string{
-			fmt.Sprintf("pod-%d", rt.PodID), fmt.Sprintf("node-%d", rt.NodeID),
-			fmt.Sprintf("svc-%d", rt.ServiceID), fmt.Sprintf("ns-%d", rt.NSID),
-			fmt.Sprintf("region-%d", rt.RegionID), fmt.Sprintf("az-%d", rt.AZID),
+	for i := 0; i < 200; i++ {
+		var b *Batch
+		if i == 0 {
+			b = &Batch{Host: "empty-host", Seq: 1} // explicit empty batch
+		} else {
+			b = randBatch(rng, i)
 		}
-	}
-	for _, enc := range []WireEncoding{WireSmart, WireDirect, WireLowCard} {
-		for i := 0; i < 200; i++ {
-			var b *Batch
-			if i == 0 {
-				b = &Batch{Host: "empty-host", Seq: 1} // explicit empty batch
-			} else {
-				b = randBatch(rng, i)
-			}
-			e := Encoder{Enc: enc, Resolve: resolve}
-			data := e.Encode(b)
-			got, err := Decode(data)
-			if err != nil {
-				t.Fatalf("%v batch %d: decode: %v", enc, i, err)
-			}
-			if !batchEqual(t, b, got) {
-				t.Fatalf("%v batch %d: round trip mismatch\nin:  %+v\nout: %+v", enc, i, b, got)
-			}
+		got, err := Decode(Encode(b))
+		if err != nil {
+			t.Fatalf("batch %d: decode: %v", i, err)
+		}
+		if !batchEqual(t, b, got) {
+			t.Fatalf("batch %d: round trip mismatch\nin:  %+v\nout: %+v", i, b, got)
 		}
 	}
 }
 
-// TestCodecWireSizeOrdering: on tag-bearing spans the smart encoding is
-// strictly the smallest wire representation; the dictionary encoding beats
-// raw strings once names repeat.
-func TestCodecWireSizeOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	b := &Batch{Host: "h", Seq: 1}
-	for i := 0; i < 500; i++ {
-		sp := randSpan(rng, i)
-		sp.Custom = nil
-		b.Spans = append(b.Spans, sp)
+// One span {ID 7, ReqTCPSeq 9, HTTP, eBPF, start 1000ns +5ns, VPC 1, IP 2,
+// pod 3} from host "h", seq 1, as the three encoders that once existed
+// wrote it (names pod-3/n/s/ns/r/az). The smart bytes pin the live format;
+// the other two were valid input to Decode until the baselines left the
+// product and must now be refused.
+const (
+	goldenSmart   = "\xdf\x10\x01h\x01\x01\x00\x00\a\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\xd0\x0f\n\x00\x00\x00\x00\x02\x02\x06\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+	legacyDirect  = "\xdf\x11\x01h\x01\x01\x00\x00\a\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\xd0\x0f\n\x00\x00\x00\x00\x02\x02\x06\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05pod-3\x01n\x01s\x02ns\x01r\x02az"
+	legacyLowCard = "\xdf\x12\x01h\x01\x01\x00\x00\x06\x05pod-3\x01n\x01s\x02ns\x01r\x02az\a\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\xd0\x0f\n\x00\x00\x00\x00\x02\x02\x06\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x02\x03\x04\x05"
+)
+
+// TestGoldenSmartBatch: the wire bytes are frozen — today's encoder writes
+// exactly what the pre-deletion encoder wrote.
+func TestGoldenSmartBatch(t *testing.T) {
+	start := time.Unix(0, 1000).UTC()
+	b := &Batch{Host: "h", Seq: 1, Spans: []*trace.Span{{
+		ID: 7, ReqTCPSeq: 9, L7: trace.L7HTTP, Source: trace.SourceEBPF,
+		StartTime: start, EndTime: start.Add(5),
+		Resource: trace.ResourceTags{VPCID: 1, IP: 2, PodID: 3},
+	}}}
+	if got := string(Encode(b)); got != goldenSmart {
+		t.Fatalf("smart wire bytes changed:\n got %q\nwant %q", got, goldenSmart)
 	}
-	resolve := func(rt trace.ResourceTags) [6]string {
-		return [6]string{
-			fmt.Sprintf("pod-%d-some-longish-name", rt.PodID%50), fmt.Sprintf("node-%d.cluster.internal", rt.NodeID%16),
-			fmt.Sprintf("service-%d", rt.ServiceID%20), "production",
-			"region-eu-west", fmt.Sprintf("az-%d", rt.AZID%3),
+	got, err := Decode([]byte(goldenSmart))
+	if err != nil || !batchEqual(t, b, got) {
+		t.Fatalf("golden batch decode = %+v, %v", got, err)
+	}
+}
+
+// TestDecodeRefusesLegacyEncodings: a header whose encoding nibble is 1
+// (direct) or 2 (low-cardinality) is an error — including well-formed
+// batches the old decoder accepted — and the refusal comes before any row
+// count is read, so a hostile header cannot size an allocation.
+func TestDecodeRefusesLegacyEncodings(t *testing.T) {
+	for name, data := range map[string]string{"direct": legacyDirect, "low-cardinality": legacyLowCard} {
+		if b, err := Decode([]byte(data)); err == nil {
+			t.Errorf("%s batch decoded: %+v", name, b)
 		}
 	}
-	size := func(enc WireEncoding) int {
-		e := Encoder{Enc: enc, Resolve: resolve}
-		return len(e.Encode(b))
+	// Counts of 2^20 each, and enough bytes behind them that the
+	// impossible-row-counts check alone would not refuse the batch.
+	data := []byte{wireMagic, 0, 1, 'h', 1}
+	for i := 0; i < 3; i++ {
+		data = binary.AppendUvarint(data, 1<<20)
 	}
-	smart, direct, lowcard := size(WireSmart), size(WireDirect), size(WireLowCard)
-	if !(smart < lowcard && lowcard < direct) {
-		t.Fatalf("wire sizes: smart=%d lowcard=%d direct=%d, want smart < lowcard < direct", smart, lowcard, direct)
+	data = append(data, make([]byte, 4<<20)...)
+	for nibble := byte(1); nibble < 16; nibble++ {
+		data[1] = wireVersion<<4 | nibble
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("encoding nibble %d decoded", nibble)
+		}
+		// A []*trace.Span sized by the claimed count alone would be 8 MB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("encoding nibble %d: refusal allocated %d bytes (sized by the header's counts?)", nibble, grew)
+		}
 	}
 }
 

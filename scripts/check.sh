@@ -20,6 +20,9 @@ fi
 echo ">> go vet ./..."
 go vet ./...
 
+echo ">> the pipeline benchmark's own tests (bench/ is a module of its own; the root's go test only checks that it builds and vets)"
+(cd bench && go test ./...)
+
 echo ">> dfvet (verify all shipped hook programs)"
 go run ./cmd/dfvet
 
@@ -89,8 +92,5 @@ go test -run '^$' -bench 'Benchmark(Seal|Decode|Merge)Block' -benchmem -benchtim
 echo ">> fuzz the sealed-block boundary (10 s per target: arbitrary bodies under a valid CRC never panic, decode => re-encode identical, decodable pairs merge to the re-encode)"
 go test -run '^$' -fuzz '^FuzzUnmarshalBlock$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
 go test -run '^$' -fuzz '^FuzzMergeBlocks$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
-
-echo ">> the pipeline benchmark's own tests (bench/ is a module of its own; the root's go test leaves it alone)"
-(cd bench && go test ./...)
 
 echo "check.sh: all green"
