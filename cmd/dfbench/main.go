@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dfbench [-scale small|paper] fig2|fig3|fig13|fig14|fig15|fig16a|fig16b|fig19|ablation|selfmon|profile|ingest|agent|rollup|alerting|critpath|storage|all
+//	dfbench [-scale small|paper] fig2|fig3|fig13|fig14|fig15|fig16a|fig16b|fig19|ablation|selfmon|profile|ingest|rollup|alerting|critpath|storage|all
 //
 // Output for each experiment is a plain-text table plus notes comparing
 // against the paper's reported numbers. EXPERIMENTS.md records a captured
@@ -25,7 +25,7 @@ func main() {
 	md := flag.Bool("md", false, "emit markdown instead of plain text")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: dfbench [-scale small|paper] [-md] <fig2|fig3|fig13|fig14|fig15|fig16a|fig16b|fig19|ablation|selfmon|profile|ingest|agent|rollup|alerting|critpath|storage|all>")
+		fmt.Fprintln(os.Stderr, "usage: dfbench [-scale small|paper] [-md] <fig2|fig3|fig13|fig14|fig15|fig16a|fig16b|fig19|ablation|selfmon|profile|ingest|rollup|alerting|critpath|storage|all>")
 		os.Exit(2)
 	}
 
@@ -81,9 +81,6 @@ func main() {
 	runners["ingest"] = func() (*experiments.Table, error) {
 		return experiments.Ingest(pick(60000, 400000), pick(2000, 10000))
 	}
-	runners["agent"] = func() (*experiments.Table, error) {
-		return experiments.Agent(64, pick(300, 2000), pick(3000, 20000))
-	}
 	runners["alerting"] = experiments.Alerting
 	runners["critpath"] = experiments.Critpath
 	runners["storage"] = func() (*experiments.Table, error) {
@@ -103,7 +100,7 @@ func main() {
 		}
 		return experiments.Rollup(sizes, pick(2000, 10000))
 	}
-	order := []string{"fig2", "fig3", "fig13", "fig14", "fig15", "fig16a", "fig16b", "fig19", "ablation", "selfmon", "profile", "ingest", "agent", "rollup", "alerting", "critpath", "storage"}
+	order := []string{"fig2", "fig3", "fig13", "fig14", "fig15", "fig16a", "fig16b", "fig19", "ablation", "selfmon", "profile", "ingest", "rollup", "alerting", "critpath", "storage"}
 
 	targets := flag.Args()
 	if len(targets) == 1 && targets[0] == "all" {

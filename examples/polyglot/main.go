@@ -55,11 +55,9 @@ func main() {
 		}
 	}
 
-	// The agent pipeline split: responses on header-capable protocols
-	// resolved without full parsing.
-	fast, slow, giveups := df.AgentPathStats()
-	fmt.Printf("\nagent pipeline: %d fast-path responses, %d slow-path messages, %d inference give-ups\n",
-		fast, slow, giveups)
+	// The agent parses each message once, after one inference per flow.
+	_, parsed, giveups := df.AgentPathStats()
+	fmt.Printf("\nagent pipeline: %d parsed messages, %d inference give-ups\n", parsed, giveups)
 	fmt.Println("\nzero instrumentation in any service — the gateway, the gRPC cart,")
 	fmt.Println("the database, and the broker are all traced from the kernel.")
 }

@@ -526,9 +526,7 @@ func (a *Agent) onPacket(rec simnet.PacketRecord) {
 		fm.total.ARPRequests++
 	case simnet.PktData:
 		// Direction relative to the capture NIC: packets sent by (or under)
-		// the origin host are egress, everything else ingress. Constant per
-		// flow side, so the sessionizer can learn the request direction and
-		// skip its fast-path probe on request-bearing packets.
+		// the origin host are egress, everything else ingress.
 		dir := trace.DirIngress
 		if senderIsUnder(origin, rec.Tuple.SrcIP) {
 			dir = trace.DirEgress
@@ -639,9 +637,9 @@ func (a *Agent) Flush(now time.Time) {
 	}
 }
 
-// PathStats sums the pipeline-split counters — fast-path response hits,
-// slow-path (full-parse) messages, and inference give-ups — over this
-// agent's syscall and packet sessionizers.
+// PathStats sums the sessionizer counters — fast-path hits (always 0;
+// kept for the benchmark module's hit ratio), parsed messages, and
+// inference give-ups — over this agent's syscall and packet sessionizers.
 func (a *Agent) PathStats() (fastHits, slowMsgs, giveups int) {
 	for _, sz := range []*Sessionizer{a.sysSess, a.nicSess} {
 		if sz == nil {

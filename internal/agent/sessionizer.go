@@ -55,13 +55,9 @@ const InferMaxTries = 8
 // into sessions and emits one span per session. One Sessionizer serves one
 // capture point (a kernel's syscall stream, or one NIC's packet stream).
 //
-// Feed is split into a fast path and a slow path. Established flows whose
-// codec offers a lightweight header parse take the fast path for
-// responses: flow-state fetch, continuation accounting, flow-metric
-// updates, and ParseHeader (message type + stream ID + status only) — no
-// resource strings, no header maps. First-seen flows, session boundaries
-// (requests, which must capture resources and propagation headers for the
-// span), and full span construction take the slow path.
+// Feed has one path: a flow's protocol is inferred once, and after that
+// the first syscall of every message gets exactly one Codec.Parse
+// (paper §3.3.1); continuation syscalls only extend the open message.
 type Sessionizer struct {
 	ids    *trace.IDAllocator
 	tracer *SysTracer // nil for packet taps (no thread context)
@@ -80,21 +76,19 @@ type Sessionizer struct {
 	// Emit receives completed spans.
 	Emit func(*trace.Span)
 
-	// DisableFastPath forces every message through the slow path (full
-	// Parse). It exists so the dfbench agent experiment can measure the
-	// fast path against an honest all-slow-path baseline; production
-	// deployments leave it false.
-	DisableFastPath bool
-
 	// Stats.
 	Inferred     map[trace.L7Proto]int
 	Unparsable   int
 	OrphanResps  int
 	InferGiveups int
-	FastPathHits int
-	SlowPathMsgs int
+	SlowPathMsgs int // messages given a full Parse: every non-continuation after inference
 	FlowMsgs     uint64
 	FlowBytes    uint64
+
+	// FastPathHits is always 0: Feed has no header-only path. The field
+	// stays because the standalone benchmark module reads it to report a
+	// hit ratio.
+	FastPathHits int
 
 	// Self-monitoring (nil when uninstrumented; see instrument).
 	mon       *selfmon.Registry
@@ -103,7 +97,6 @@ type Sessionizer struct {
 	mOrphans  *selfmon.Counter
 	mEvict    *selfmon.Counter
 	mGiveups  *selfmon.Counter
-	mFastHits *selfmon.Counter
 	mSlowMsgs *selfmon.Counter
 }
 
@@ -121,16 +114,9 @@ type flowState struct {
 	// Traits cached at inference time so the per-message path never
 	// consults the registry again.
 	parallel bool
-	header   protocols.HeaderParser // non-nil when fast-path eligible
 	isTLS    bool
 
-	// reqDir is the direction requests travel on this flow, learned from
-	// the first parsed request. Zero until then. The fast-path probe only
-	// runs on messages travelling the other way, so requests never pay
-	// for a ParseHeader that full Parse will redo.
-	reqDir trace.Direction
-
-	// Per-flow message metrics, updated on both paths.
+	// Per-flow message metrics, updated for every message.
 	msgs  uint64
 	bytes uint64
 
@@ -221,8 +207,8 @@ func (sz *Sessionizer) SetWindow(slotDur time.Duration) {
 
 // instrument registers this sessionizer's self-metrics under its capture
 // point tag ("syscall" or "packet"): protocol-inference hits, misses, and
-// give-ups, fast-path/slow-path message counts, parse errors, orphan
-// responses, window occupancy, and evictions.
+// give-ups, parsed-message counts, parse errors, orphan responses, window
+// occupancy, and evictions.
 func (sz *Sessionizer) instrument(mon *selfmon.Registry, capture string) {
 	sz.mon = mon
 	sz.capture = capture
@@ -231,7 +217,6 @@ func (sz *Sessionizer) instrument(mon *selfmon.Registry, capture string) {
 	sz.mOrphans = mon.Counter("deepflow_agent_orphan_responses", tag)
 	sz.mEvict = mon.Counter("deepflow_agent_window_evictions", tag)
 	sz.mGiveups = mon.Counter("deepflow_agent_inference_giveups", tag)
-	sz.mFastHits = mon.Counter("deepflow_agent_fastpath_hits", tag)
 	sz.mSlowMsgs = mon.Counter("deepflow_agent_slowpath_messages", tag)
 	mon.GaugeFunc("deepflow_agent_window_occupancy",
 		func() float64 { return float64(sz.window.Len()) }, tag)
@@ -250,15 +235,10 @@ func (sz *Sessionizer) key(ev *MessageEvent) flowKey {
 
 // Feed processes one message event, possibly emitting a completed span.
 //
-// The cheap per-message work — flow-state fetch, flow-metric updates,
-// continuation accounting — runs unconditionally. Established flows whose
-// codec declares a fast-path header parser then try ParseHeader: a
-// response resolves entirely on the fast path (status and stream ID are
-// all session matching needs), while requests and anything ParseHeader
-// rejects fall through to the slow path's full Parse. The fast and slow
-// paths produce byte-identical spans (pinned by the agent's equivalence
-// test): codecs whose responses can carry association headers opt out of
-// fast-path eligibility via their declared traits.
+// Flow-state fetch, flow-metric updates and continuation accounting run
+// for every event. A continuation syscall stops there; any other message
+// on an inferred flow is parsed once with the flow's codec and then opens
+// a session (request) or closes one (response).
 func (sz *Sessionizer) Feed(ev MessageEvent) {
 	k := sz.key(&ev)
 	fs := sz.flows[k]
@@ -319,7 +299,6 @@ func (sz *Sessionizer) Feed(ev MessageEvent) {
 		}
 		fs.codec = entry.Codec
 		fs.parallel = entry.Traits.Parallel
-		fs.header = entry.Header
 		fs.isTLS = entry.Codec.Proto() == trace.L7TLS
 		sz.Inferred[fs.codec.Proto()]++
 		if sz.mon != nil {
@@ -334,31 +313,6 @@ func (sz *Sessionizer) Feed(ev MessageEvent) {
 		return
 	}
 
-	// Fast path: lightweight header parse resolves responses without
-	// building resource strings or header maps. Requests are session
-	// boundaries and always take the slow path below; since a flow's
-	// request direction is fixed, the probe is skipped for messages
-	// positively known to travel with the requests; flows whose events
-	// carry no direction probe every message.
-	if fs.header != nil && !sz.DisableFastPath && !(fs.reqDir != 0 && ev.Dir == fs.reqDir) {
-		if hi, err := fs.header.ParseHeader(ev.Payload); err == nil && hi.Type == trace.MsgResponse {
-			sz.FastPathHits++
-			if sz.mFastHits != nil {
-				sz.mFastHits.Inc()
-			}
-			sz.feedResponse(fs, ev, protocols.Message{
-				Proto:    fs.codec.Proto(),
-				Type:     trace.MsgResponse,
-				Code:     hi.Code,
-				Status:   hi.Status,
-				StreamID: hi.StreamID,
-				TotalLen: hi.TotalLen,
-			})
-			return
-		}
-	}
-
-	// Slow path: full parse.
 	sz.SlowPathMsgs++
 	if sz.mSlowMsgs != nil {
 		sz.mSlowMsgs.Inc()
@@ -383,7 +337,6 @@ func (sz *Sessionizer) Feed(ev MessageEvent) {
 }
 
 func (sz *Sessionizer) feedRequest(fs *flowState, ev MessageEvent, msg protocols.Message) {
-	fs.reqDir = ev.Dir
 	req := sz.reqs.next()
 	req.ev, req.msg, req.slot = ev, msg, sz.slotOf(ev.Start)
 	if sz.tracer != nil && !ev.NoThreadContext {

@@ -215,9 +215,8 @@ func (d *Deployment) Agent(host string) *agent.Agent { return d.agents[host] }
 // Agents returns the number of deployed agents.
 func (d *Deployment) Agents() int { return len(d.agents) }
 
-// AgentPathStats sums the agent pipeline-split counters — fast-path
-// response hits, slow-path messages, inference give-ups — across every
-// deployed agent.
+// AgentPathStats sums Agent.PathStats — fast-path hits (always 0),
+// parsed messages, inference give-ups — across every deployed agent.
 func (d *Deployment) AgentPathStats() (fastHits, slowMsgs, giveups int) {
 	for _, ag := range d.agents {
 		f, s, g := ag.PathStats()

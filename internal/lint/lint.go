@@ -48,10 +48,10 @@ var contractPackages = map[string]bool{
 	"critpath":  true,
 	"transport": true,
 	"storage":   true,
-	// The agent's fast-path/slow-path pipeline and the codec table feed
-	// everything above; their span output must be deterministic too (the
-	// fast/slow equivalence gate depends on it), and their self-metric
-	// names join the same §3.4 correlation plane.
+	// The agent's sessionizer and the codec table feed everything above;
+	// their span output must be deterministic too (the sessionizer golden
+	// depends on it), and their self-metric names join the same §3.4
+	// correlation plane.
 	"agent":     true,
 	"protocols": true,
 	// The durable tier replays into the same query surfaces: recovery,

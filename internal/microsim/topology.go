@@ -169,8 +169,8 @@ func BuildNginx(env *Env) (*Topology, *Component) {
 	}, nginx
 }
 
-// BuildPolyglot builds a polyglot microservice chain exercising the
-// fast-path-eligible protocols end to end: an HTTP gateway fronting a gRPC
+// BuildPolyglot builds a polyglot microservice chain exercising four
+// protocols end to end: an HTTP gateway fronting a gRPC
 // cart service that reads a PostgreSQL database and publishes audit events
 // to an AMQP broker. Every hop speaks a different protocol, so one request
 // through the gateway lights up four protocol decoders at once.

@@ -96,8 +96,8 @@ func encodeResponse(proto trace.L7Proto, req protocols.Message, code int32, head
 		return protocols.EncodeDubboResponse(req.StreamID, status, body)
 	case trace.L7GRPC:
 		// gRPC responses carry status in the trailer byte and never carry
-		// association headers — that property keeps them fast-path eligible,
-		// so the headers argument is deliberately not forwarded.
+		// association headers, so the headers argument is deliberately not
+		// forwarded.
 		status := uint8(protocols.GRPCStatusOK)
 		if !ok {
 			status = uint8(code % 256)

@@ -77,53 +77,20 @@ func (AMQPCodec) Infer(payload []byte) bool {
 	return false
 }
 
-// ParseHeader implements HeaderParser: the class+method pair classifies
-// the message; channel.close carries its reply code at a fixed offset.
-func (AMQPCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
+// Parse implements Codec.
+func (AMQPCodec) Parse(payload []byte) (Message, error) {
 	if len(payload) < 12 {
-		return HeaderInfo{}, ErrShort
+		return Message{}, ErrShort
 	}
 	class, method, ok := amqpClassMethod(payload)
 	if !ok {
-		return HeaderInfo{}, errMalformed(trace.L7AMQP, "bad frame envelope")
+		return Message{}, errMalformed(trace.L7AMQP, "bad frame envelope")
 	}
-	hi := HeaderInfo{TotalLen: len(payload)}
-	switch {
-	case class == amqpClassBasic && method == amqpBasicPublish:
-		hi.Type = trace.MsgRequest
-	case class == amqpClassBasic && method == amqpBasicAck:
-		hi.Type = trace.MsgResponse
-		hi.Status = "ok"
-	case class == amqpClassChannel && method == amqpChannelClose:
-		hi.Type = trace.MsgResponse
-		hi.Status = "error"
-		hi.Code = 541 // internal-error default
-		if len(payload) >= 14 {
-			hi.Code = int32(binary.BigEndian.Uint16(payload[11:]))
-		}
-	default:
-		return HeaderInfo{}, errMalformed(trace.L7AMQP, "unknown class/method")
-	}
-	return hi, nil
-}
-
-// Parse implements Codec.
-func (AMQPCodec) Parse(payload []byte) (Message, error) {
-	hi, err := AMQPCodec{}.ParseHeader(payload)
-	if err != nil {
-		return Message{}, err
-	}
-	msg := Message{
-		Proto:    trace.L7AMQP,
-		Type:     hi.Type,
-		Code:     hi.Code,
-		Status:   hi.Status,
-		TotalLen: hi.TotalLen,
-	}
+	msg := Message{Proto: trace.L7AMQP, TotalLen: len(payload)}
 	body := payload[11 : len(payload)-1]
-	class, method, _ := amqpClassMethod(payload)
 	switch {
 	case class == amqpClassBasic && method == amqpBasicPublish:
+		msg.Type = trace.MsgRequest
 		msg.Method = "basic.publish"
 		exchange, rest, ok := amqpShortStr(body)
 		if !ok {
@@ -139,14 +106,20 @@ func (AMQPCodec) Parse(payload []byte) (Message, error) {
 			msg.Resource = rkey
 		}
 	case class == amqpClassBasic && method == amqpBasicAck:
+		msg.Type, msg.Status = trace.MsgResponse, "ok"
 		msg.Method = "basic.ack"
 	case class == amqpClassChannel && method == amqpChannelClose:
+		msg.Type, msg.Status = trace.MsgResponse, "error"
 		msg.Method = "channel.close"
+		msg.Code = 541 // internal-error default
 		if len(body) >= 2 {
+			msg.Code = int32(binary.BigEndian.Uint16(body))
 			if text, _, ok := amqpShortStr(body[2:]); ok {
 				msg.Resource = text
 			}
 		}
+	default:
+		return Message{}, errMalformed(trace.L7AMQP, "unknown class/method")
 	}
 	return msg, nil
 }

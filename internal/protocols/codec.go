@@ -11,8 +11,7 @@
 // (c) encode synthetic wire messages for the workload simulator. Codecs
 // self-describe through the registration table in registry.go: declared
 // traits (parallel vs pipeline matching, magic first bytes, minimum header
-// length) drive dispatch, and the optional ParseHeader method feeds the
-// agent's lookup-only fast path.
+// length) drive dispatch.
 package protocols
 
 import (

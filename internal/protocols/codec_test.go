@@ -1,8 +1,9 @@
 package protocols
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
-	"testing/quick"
 
 	"deepflow/internal/trace"
 )
@@ -362,22 +363,32 @@ func TestParseMalformedInputs(t *testing.T) {
 	}
 }
 
-// Property: codecs never panic on arbitrary bytes, and inference of random
-// bytes never claims Dubbo/HTTP2 (strong magic protocols).
-func TestParseFuzzProperty(t *testing.T) {
-	codecs := Default().Codecs()
-	prop := func(data []byte) bool {
-		for _, c := range codecs {
-			func() {
-				defer func() { recover() }()
-				c.Parse(data)
-			}()
+// FuzzParse checks the untrusted-payload boundary: on arbitrary bytes no
+// codec's Parse and no inference panics, and both are deterministic —
+// parsing the same bytes twice yields equal messages and equal errors.
+func FuzzParse(f *testing.F) {
+	for _, payloads := range corpus() {
+		for _, p := range payloads {
+			f.Add(p)
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	f.Add([]byte{})
+	f.Add([]byte("garbage input here"))
+	table := Default()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range table.Codecs() {
+			m1, err1 := c.Parse(data)
+			m2, err2 := c.Parse(data)
+			if !reflect.DeepEqual(m1, m2) || fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("%v.Parse(%q) not deterministic: (%+v, %v) vs (%+v, %v)",
+					c.Proto(), data, m1, err1, m2, err2)
+			}
+		}
+		e1, e2 := table.InferEntry(data), table.InferEntry(data)
+		if e1 != e2 {
+			t.Fatalf("InferEntry(%q) not deterministic", data)
+		}
+	})
 }
 
 func TestHTTPMethodsInference(t *testing.T) {
@@ -419,8 +430,8 @@ func TestGRPCRoundTrip(t *testing.T) {
 	if ok.Type != trace.MsgResponse || ok.Status != "ok" || ok.Code != GRPCStatusOK || ok.StreamID != 9 {
 		t.Fatalf("ok = %+v", ok)
 	}
-	// Responses must never carry association headers: that property is what
-	// makes gRPC fast-path eligible.
+	// Responses must never carry association headers: status and stream
+	// live in fixed fields.
 	for _, k := range []string{"x-request-id", "traceparent", "b3"} {
 		if _, found := ok.Headers[k]; found {
 			t.Fatalf("response carries association header %q", k)

@@ -21,37 +21,6 @@ func (DNSCodec) Traits() Traits {
 	return Traits{Parallel: true, MinLen: 12}
 }
 
-// ParseHeader implements HeaderParser: ID and rcode from the fixed header;
-// the question name is validated (Parse rejects bad names) but not decoded.
-func (DNSCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 12 {
-		return HeaderInfo{}, ErrShort
-	}
-	be := binary.BigEndian
-	off, ok := dnsNameEnd(payload, 12)
-	if !ok || off+4 > len(payload) {
-		return HeaderInfo{}, errMalformed(trace.L7DNS, "bad question section")
-	}
-	flags := be.Uint16(payload[2:])
-	hi := HeaderInfo{
-		StreamID: uint64(be.Uint16(payload[0:])),
-		TotalLen: len(payload),
-	}
-	if flags&0x8000 == 0 {
-		hi.Type = trace.MsgRequest
-		return hi, nil
-	}
-	hi.Type = trace.MsgResponse
-	rcode := int32(flags & 0xF)
-	hi.Code = rcode
-	if rcode == 0 {
-		hi.Status = "ok"
-	} else {
-		hi.Status = "error"
-	}
-	return hi, nil
-}
-
 // Infer implements Codec.
 func (DNSCodec) Infer(payload []byte) bool {
 	if len(payload) < 12 {
@@ -91,28 +60,6 @@ func dnsName(b []byte, off int) (string, int, bool) {
 		return "", 0, false
 	}
 	return strings.Join(labels, "."), off, true
-}
-
-// dnsNameEnd validates a label sequence without decoding it — the
-// allocation-free check behind ParseHeader.
-func dnsNameEnd(b []byte, off int) (int, bool) {
-	labels := 0
-	for {
-		if off >= len(b) {
-			return 0, false
-		}
-		n := int(b[off])
-		off++
-		if n == 0 {
-			break
-		}
-		if n > 63 || off+n > len(b) {
-			return 0, false
-		}
-		labels++
-		off += n
-	}
-	return off, labels > 0
 }
 
 var dnsTypes = map[uint16]string{1: "A", 5: "CNAME", 15: "MX", 16: "TXT", 28: "AAAA", 33: "SRV"}

@@ -39,35 +39,6 @@ func (DubboCodec) Infer(payload []byte) bool {
 	return len(payload) >= 16 && binary.BigEndian.Uint16(payload) == dubboMagic
 }
 
-// ParseHeader implements HeaderParser: type, request ID, and status from
-// the fixed 16-byte header, nothing else.
-func (DubboCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 16 {
-		return HeaderInfo{}, ErrShort
-	}
-	be := binary.BigEndian
-	if be.Uint16(payload) != dubboMagic {
-		return HeaderInfo{}, errMalformed(trace.L7Dubbo, "bad magic")
-	}
-	hi := HeaderInfo{
-		StreamID: be.Uint64(payload[4:]),
-		TotalLen: 16 + int(be.Uint32(payload[12:])),
-	}
-	if payload[2]&0x80 != 0 {
-		hi.Type = trace.MsgRequest
-		return hi, nil
-	}
-	hi.Type = trace.MsgResponse
-	status := payload[3]
-	hi.Code = int32(status)
-	if status == DubboStatusOK {
-		hi.Status = "ok"
-	} else {
-		hi.Status = "error"
-	}
-	return hi, nil
-}
-
 // Parse implements Codec.
 func (DubboCodec) Parse(payload []byte) (Message, error) {
 	if len(payload) < 16 {

@@ -13,7 +13,7 @@ import (
 // and a grpc-status trailer byte on responses. Like HTTP/2 it multiplexes
 // streams on one connection (parallel protocol), but unlike plain HTTP its
 // responses never carry proxy association headers — status lives in the
-// fixed trailer byte — so responses are fast-path eligible via ParseHeader.
+// fixed trailer byte.
 //
 // Frame layout (big endian):
 //
@@ -49,86 +49,34 @@ func (GRPCCodec) Infer(payload []byte) bool {
 	return len(payload) >= 15 && bytes.HasPrefix(payload, grpcMagic)
 }
 
-// ParseHeader implements HeaderParser: frame type, stream ID, and
-// grpc-status from fixed offsets — no header-block or path decoding.
-func (GRPCCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
+// Parse implements Codec.
+func (GRPCCodec) Parse(payload []byte) (Message, error) {
 	if len(payload) < 15 {
-		return HeaderInfo{}, ErrShort
+		return Message{}, ErrShort
 	}
 	if !bytes.HasPrefix(payload, grpcMagic) {
-		return HeaderInfo{}, errMalformed(trace.L7GRPC, "bad magic")
+		return Message{}, errMalformed(trace.L7GRPC, "bad magic")
 	}
 	be := binary.BigEndian
-	hi := HeaderInfo{
+	msg := Message{
+		Proto:    trace.L7GRPC,
 		StreamID: uint64(be.Uint32(payload[5:])),
 		TotalLen: int(be.Uint32(payload[10:])),
+		Headers:  map[string]string{},
 	}
 	switch payload[4] {
 	case 1:
-		hi.Type = trace.MsgRequest
+		msg.Type = trace.MsgRequest
 	case 2:
-		hi.Type = trace.MsgResponse
-		hi.Code = int32(payload[9])
-		if hi.Code == GRPCStatusOK {
-			hi.Status = "ok"
+		msg.Type = trace.MsgResponse
+		msg.Code = int32(payload[9])
+		if msg.Code == GRPCStatusOK {
+			msg.Status = "ok"
 		} else {
-			hi.Status = "error"
-		}
-		// Bounds-check the header block without decoding it, so a
-		// response ParseHeader errors exactly where Parse would — the
-		// fast-path/slow-path equivalence contract.
-		if err := grpcCheckHeaders(payload); err != nil {
-			return HeaderInfo{}, err
+			msg.Status = "error"
 		}
 	default:
-		return HeaderInfo{}, errMalformed(trace.L7GRPC, "unknown frame type")
-	}
-	return hi, nil
-}
-
-// grpcCheckHeaders walks the header block validating lengths only — no
-// string or map allocation.
-func grpcCheckHeaders(payload []byte) error {
-	p := 14
-	hc := int(payload[p])
-	p++
-	for i := 0; i < hc; i++ {
-		if p >= len(payload) {
-			return errMalformed(trace.L7GRPC, "truncated headers")
-		}
-		kl := int(payload[p])
-		p++
-		if p+kl > len(payload) {
-			return errMalformed(trace.L7GRPC, "truncated header key")
-		}
-		p += kl
-		if p >= len(payload) {
-			return errMalformed(trace.L7GRPC, "truncated header value len")
-		}
-		vl := int(payload[p])
-		p++
-		if p+vl > len(payload) {
-			return errMalformed(trace.L7GRPC, "truncated header value")
-		}
-		p += vl
-	}
-	return nil
-}
-
-// Parse implements Codec.
-func (GRPCCodec) Parse(payload []byte) (Message, error) {
-	hi, err := GRPCCodec{}.ParseHeader(payload)
-	if err != nil {
-		return Message{}, err
-	}
-	msg := Message{
-		Proto:    trace.L7GRPC,
-		Type:     hi.Type,
-		StreamID: hi.StreamID,
-		Code:     hi.Code,
-		Status:   hi.Status,
-		TotalLen: hi.TotalLen,
-		Headers:  map[string]string{},
+		return Message{}, errMalformed(trace.L7GRPC, "unknown frame type")
 	}
 	p := 14
 	hc := int(payload[p])
@@ -215,8 +163,7 @@ func EncodeGRPCRequest(stream uint32, path string, headers map[string]string, bo
 // EncodeGRPCResponse builds a response frame carrying the grpc-status
 // trailer plus the standard transport headers every real gRPC response
 // ships (content-type, encoding negotiation). Responses deliberately carry
-// no association headers — status and stream live in fixed fields — which
-// is what makes them fast-path eligible.
+// no association headers: status and stream live in fixed fields.
 func EncodeGRPCResponse(stream uint32, status uint8, bodyLen int) []byte {
 	headers := map[string]string{
 		":status":              "200",

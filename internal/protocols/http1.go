@@ -19,11 +19,10 @@ func (HTTPCodec) Proto() trace.L7Proto { return trace.L7HTTP }
 
 var httpMethods = []string{"GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH"}
 
-// Traits implements TraitedCodec. Responses carry proxy association
-// headers (X-Request-ID), so they stay on the agent's slow path; the first
-// bytes are the method initials plus 'H' for the response status line.
+// Traits implements TraitedCodec. The first bytes are the method initials
+// plus 'H' for the response status line.
 func (HTTPCodec) Traits() Traits {
-	return Traits{FirstBytes: []byte{'G', 'P', 'D', 'H', 'O'}, MinLen: 4, RespHeaders: true}
+	return Traits{FirstBytes: []byte{'G', 'P', 'D', 'H', 'O'}, MinLen: 4}
 }
 
 // Infer implements Codec.

@@ -29,10 +29,9 @@ var http2Magic = []byte("h2f\x00")
 // Proto implements Codec.
 func (HTTP2Codec) Proto() trace.L7Proto { return trace.L7HTTP2 }
 
-// Traits implements TraitedCodec. Responses can carry proxy association
-// headers (X-Request-ID), so they stay on the agent's slow path.
+// Traits implements TraitedCodec.
 func (HTTP2Codec) Traits() Traits {
-	return Traits{Parallel: true, FirstBytes: []byte{'h'}, MinLen: 16, RespHeaders: true}
+	return Traits{Parallel: true, FirstBytes: []byte{'h'}, MinLen: 16}
 }
 
 // Infer implements Codec.

@@ -37,34 +37,6 @@ func (KafkaCodec) Traits() Traits {
 	return Traits{Parallel: true, MinLen: 11}
 }
 
-// ParseHeader implements HeaderParser: frame kind, correlation ID, and
-// error code from fixed offsets.
-func (KafkaCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 11 {
-		return HeaderInfo{}, ErrShort
-	}
-	be := binary.BigEndian
-	hi := HeaderInfo{TotalLen: int(be.Uint32(payload[0:])) + 4}
-	switch payload[4] {
-	case 0:
-		hi.Type = trace.MsgRequest
-		return hi, nil
-	case 1:
-		hi.Type = trace.MsgResponse
-		hi.StreamID = uint64(be.Uint32(payload[5:]))
-		ec := int16(be.Uint16(payload[9:]))
-		hi.Code = int32(ec)
-		if ec == 0 {
-			hi.Status = "ok"
-		} else {
-			hi.Status = "error"
-		}
-		return hi, nil
-	default:
-		return HeaderInfo{}, errMalformed(trace.L7Kafka, "bad frame kind")
-	}
-}
-
 // Infer implements Codec.
 func (KafkaCodec) Infer(payload []byte) bool {
 	if len(payload) < 11 {

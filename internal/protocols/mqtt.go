@@ -47,36 +47,6 @@ func (MQTTCodec) Traits() Traits {
 	return Traits{FirstBytes: mqttFirstBytes, MinLen: 2}
 }
 
-// ParseHeader implements HeaderParser: packet type and CONNACK return code
-// from the fixed header, no topic decoding.
-func (MQTTCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 2 {
-		return HeaderInfo{}, ErrShort
-	}
-	typ := payload[0] >> 4
-	if _, ok := mqttNames[typ]; !ok {
-		return HeaderInfo{}, errMalformed(trace.L7MQTT, "unknown packet type")
-	}
-	rem, n := mqttRemaining(payload[1:])
-	if n == 0 {
-		return HeaderInfo{}, errMalformed(trace.L7MQTT, "bad remaining length")
-	}
-	hi := HeaderInfo{TotalLen: 1 + n + rem}
-	switch typ {
-	case mqttConnect, mqttPublish, mqttSubscribe:
-		hi.Type = trace.MsgRequest
-	case mqttConnack, mqttPuback, mqttSuback:
-		hi.Type = trace.MsgResponse
-		hi.Status = "ok"
-		body := payload[1+n:]
-		if typ == mqttConnack && len(body) >= 2 && body[1] != 0 {
-			hi.Status = "error"
-			hi.Code = int32(body[1])
-		}
-	}
-	return hi, nil
-}
-
 // Infer implements Codec.
 func (MQTTCodec) Infer(payload []byte) bool {
 	if len(payload) < 2 {

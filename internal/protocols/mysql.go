@@ -33,34 +33,6 @@ func (MySQLCodec) Traits() Traits {
 	return Traits{MinLen: 5}
 }
 
-// ParseHeader implements HeaderParser: sequence byte classifies the
-// message, the first body byte classifies the response.
-func (MySQLCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 5 {
-		return HeaderInfo{}, ErrShort
-	}
-	plen := int(payload[0]) | int(payload[1])<<8 | int(payload[2])<<16
-	hi := HeaderInfo{TotalLen: plen + 4}
-	if payload[3] == 0 {
-		hi.Type = trace.MsgRequest
-		return hi, nil
-	}
-	hi.Type = trace.MsgResponse
-	switch payload[4] {
-	case mysqlOKByte, mysqlEOFByte:
-		hi.Status = "ok"
-	case mysqlERRByte:
-		hi.Status = "error"
-		if len(payload) >= 7 {
-			hi.Code = int32(binary.LittleEndian.Uint16(payload[5:]))
-		}
-	default:
-		// Result set header: treat as OK data.
-		hi.Status = "ok"
-	}
-	return hi, nil
-}
-
 // Infer implements Codec.
 func (MySQLCodec) Infer(payload []byte) bool {
 	if len(payload) < 5 {

@@ -42,55 +42,27 @@ func (PostgresCodec) Infer(payload []byte) bool {
 	return plen >= 4 && plen+1 == len(payload) && payload[len(payload)-1] == 0
 }
 
-// ParseHeader implements HeaderParser: the tag byte classifies the
-// message; error responses scan for the SQLSTATE field without building
-// any strings.
-func (PostgresCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 6 {
-		return HeaderInfo{}, ErrShort
-	}
-	plen := int(binary.BigEndian.Uint32(payload[1:]))
-	hi := HeaderInfo{TotalLen: plen + 1}
-	switch payload[0] {
-	case 'Q':
-		hi.Type = trace.MsgRequest
-	case 'C':
-		hi.Type = trace.MsgResponse
-		hi.Status = "ok"
-	case 'E':
-		hi.Type = trace.MsgResponse
-		hi.Status = "error"
-		hi.Code = 1
-	default:
-		return HeaderInfo{}, errMalformed(trace.L7Postgres, "unknown tag")
-	}
-	return hi, nil
-}
-
 // Parse implements Codec.
 func (PostgresCodec) Parse(payload []byte) (Message, error) {
-	hi, err := PostgresCodec{}.ParseHeader(payload)
-	if err != nil {
-		return Message{}, err
+	if len(payload) < 6 {
+		return Message{}, ErrShort
 	}
-	msg := Message{
-		Proto:    trace.L7Postgres,
-		Type:     hi.Type,
-		Code:     hi.Code,
-		Status:   hi.Status,
-		TotalLen: hi.TotalLen,
-	}
+	plen := int(binary.BigEndian.Uint32(payload[1:]))
+	msg := Message{Proto: trace.L7Postgres, TotalLen: plen + 1}
 	body := payload[5:]
 	switch payload[0] {
 	case 'Q':
+		msg.Type = trace.MsgRequest
 		sql := string(cutAtNUL(body))
 		msg.Method = firstSQLWord(sql)
 		msg.Resource = firstSQLWords(sql)
 	case 'C':
+		msg.Type, msg.Status = trace.MsgResponse, "ok"
 		// Command tag, e.g. "SELECT 3"; frames may pad past the NUL to
 		// model row data already streamed on the wire.
 		msg.Method = string(cutAtNUL(body))
 	case 'E':
+		msg.Type, msg.Status, msg.Code = trace.MsgResponse, "error", 1
 		// Fields: type byte + NUL-terminated value, terminated by an
 		// empty field. SQLSTATE ('C') becomes the resource.
 		for len(body) > 1 {
@@ -108,6 +80,8 @@ func (PostgresCodec) Parse(payload []byte) (Message, error) {
 			}
 			body = rest[i+1:]
 		}
+	default:
+		return Message{}, errMalformed(trace.L7Postgres, "unknown tag")
 	}
 	return msg, nil
 }

@@ -21,35 +21,6 @@ func (RedisCodec) Traits() Traits {
 	return Traits{FirstBytes: []byte{'*', '+', '-', ':', '$'}, MinLen: 4}
 }
 
-// ParseHeader implements HeaderParser: the RESP type byte alone classifies
-// the message and its status.
-func (RedisCodec) ParseHeader(payload []byte) (HeaderInfo, error) {
-	if len(payload) < 4 {
-		return HeaderInfo{}, ErrShort
-	}
-	hi := HeaderInfo{TotalLen: len(payload)}
-	switch payload[0] {
-	case '*':
-		hi.Type = trace.MsgRequest
-	case '+', ':':
-		hi.Type = trace.MsgResponse
-		hi.Status = "ok"
-	case '$':
-		hi.Type = trace.MsgResponse
-		hi.Status = "ok"
-		if bytes.HasPrefix(payload, []byte("$-1")) {
-			hi.Code = -1 // nil reply
-		}
-	case '-':
-		hi.Type = trace.MsgResponse
-		hi.Status = "error"
-		hi.Code = 1
-	default:
-		return HeaderInfo{}, errMalformed(trace.L7Redis, "bad type byte")
-	}
-	return hi, nil
-}
-
 // Infer implements Codec.
 func (RedisCodec) Infer(payload []byte) bool {
 	if len(payload) < 4 {

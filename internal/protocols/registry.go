@@ -26,13 +26,6 @@ type Traits struct {
 	// MinLen is the smallest payload that can possibly carry a message
 	// header; shorter payloads skip this codec's Infer entirely.
 	MinLen int
-
-	// RespHeaders marks protocols whose responses may carry association
-	// headers (X-Request-ID on an HTTP reverse-proxy reply). Their
-	// responses need a full header parse to preserve span association, so
-	// the agent keeps them on the slow path even when a lightweight
-	// header parser exists.
-	RespHeaders bool
 }
 
 // TraitedCodec is a codec that describes itself. Builtin codecs all
@@ -43,35 +36,10 @@ type TraitedCodec interface {
 	Traits() Traits
 }
 
-// HeaderInfo is the lightweight result of ParseHeader: just enough to
-// account a message on the agent's fast path — type, stream correlation,
-// status, and total length for continuation tracking. No resource strings,
-// no header maps, no allocation.
-type HeaderInfo struct {
-	Type     trace.MessageType
-	StreamID uint64
-	Code     int32
-	Status   string // "ok" | "error"
-	TotalLen int
-}
-
-// HeaderParser is the optional fast-path face of a codec. ParseHeader must
-// agree with Parse: for any payload where it returns a response HeaderInfo,
-// Parse must succeed and yield the same Type/StreamID/Code/Status/TotalLen.
-// (The agent's fast-path/slow-path equivalence test pins this contract.)
-type HeaderParser interface {
-	ParseHeader(payload []byte) (HeaderInfo, error)
-}
-
 // Entry is one registered codec with its resolved traits.
 type Entry struct {
 	Codec  Codec
 	Traits Traits
-
-	// Header is the codec's fast-path parser, nil when the codec doesn't
-	// implement HeaderParser or when its responses may carry association
-	// headers (Traits.RespHeaders).
-	Header HeaderParser
 }
 
 // Table is a codec registration table. Inference priority is registration
@@ -138,9 +106,6 @@ func (t *Table) insert(c Codec, user bool) {
 	e := &Entry{Codec: c}
 	if tc, ok := c.(TraitedCodec); ok {
 		e.Traits = tc.Traits()
-	}
-	if hp, ok := c.(HeaderParser); ok && !e.Traits.RespHeaders {
-		e.Header = hp
 	}
 	if user {
 		t.entries = append(t.entries, nil)

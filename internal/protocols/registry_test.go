@@ -138,51 +138,6 @@ func TestFirstByteDispatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestParseHeaderAgreesWithParse pins the fast-path contract exactly as
-// the sessionizer consumes it. The fast path fires only when ParseHeader
-// yields a response, so for responses the two parsers must agree in both
-// directions: whenever ParseHeader classifies a payload as a response,
-// Parse must succeed with identical stream/code/status/length (else the
-// fast path would emit a span the slow path wouldn't, or a different
-// one); and whenever Parse yields a response, ParseHeader must too (else
-// the fast path silently degrades). Requests always take the slow path,
-// so only the type classification has to agree there.
-func TestParseHeaderAgreesWithParse(t *testing.T) {
-	var inputs [][]byte
-	for _, payloads := range corpus() {
-		inputs = append(inputs, payloads...)
-	}
-	inputs = append(inputs, nil, []byte{}, []byte{0, 1, 2, 3}, []byte("garbage input here"))
-	for _, c := range Default().Codecs() {
-		hp, ok := c.(HeaderParser)
-		if !ok {
-			continue
-		}
-		for i, in := range inputs {
-			hi, herr := hp.ParseHeader(in)
-			msg, perr := c.Parse(in)
-			if herr == nil && hi.Type == trace.MsgResponse {
-				if perr != nil {
-					t.Errorf("%v input %d: ParseHeader yields a response but Parse fails (%v)", c.Proto(), i, perr)
-					continue
-				}
-				if hi.Type != msg.Type || hi.StreamID != msg.StreamID ||
-					hi.Code != msg.Code || hi.Status != msg.Status || hi.TotalLen != msg.TotalLen {
-					t.Errorf("%v input %d: ParseHeader %+v disagrees with Parse %+v", c.Proto(), i, hi, msg)
-				}
-				continue
-			}
-			if perr == nil && msg.Type == trace.MsgResponse {
-				t.Errorf("%v input %d: Parse yields a response but ParseHeader missed it (%v, %+v)",
-					c.Proto(), i, herr, hi)
-			}
-			if herr == nil && perr == nil && hi.Type != msg.Type {
-				t.Errorf("%v input %d: type mismatch: ParseHeader %v, Parse %v", c.Proto(), i, hi.Type, msg.Type)
-			}
-		}
-	}
-}
-
 // dummyCodec is a minimal user codec with no trait declaration.
 type dummyCodec struct{ proto trace.L7Proto }
 
@@ -219,9 +174,6 @@ func TestRegisterUserCodec(t *testing.T) {
 	}
 	if e.Traits.Parallel {
 		t.Error("zero-trait user codec must default to pipeline matching")
-	}
-	if e.Header != nil {
-		t.Error("user codec without ParseHeader must not be fast-path eligible")
 	}
 	// Builtins still infer normally through the same table.
 	if c := table.Infer(EncodeHTTPRequest("GET", "/", nil, 0)); c == nil || c.Proto() != trace.L7HTTP {
@@ -265,19 +217,6 @@ func TestTraitsMatchDeclaredBehavior(t *testing.T) {
 	for _, p := range pipeline {
 		if isParallel(p) {
 			t.Errorf("%v should be pipeline", p)
-		}
-	}
-	// Codecs whose responses may carry association headers must not be
-	// fast-path eligible; others with a ParseHeader must be.
-	for _, p := range []trace.L7Proto{trace.L7HTTP, trace.L7HTTP2} {
-		if Default().Lookup(p).Header != nil {
-			t.Errorf("%v responses carry association headers; must not be fast-path eligible", p)
-		}
-	}
-	for _, p := range []trace.L7Proto{trace.L7GRPC, trace.L7Postgres, trace.L7AMQP,
-		trace.L7Redis, trace.L7MySQL, trace.L7Kafka, trace.L7MQTT, trace.L7DNS, trace.L7Dubbo} {
-		if Default().Lookup(p).Header == nil {
-			t.Errorf("%v should expose a fast-path header parser", p)
 		}
 	}
 	// First-byte declarations must cover what Infer accepts: every corpus

@@ -143,3 +143,53 @@ func TestAssembleSortedByTime(t *testing.T) {
 		}
 	}
 }
+
+// TestPseudoThreadStaysOnItsHost: coroutine IDs are PID<<32|n, so two hosts
+// running the same service with the same PID sequence mint the same
+// pseudo-thread IDs. A trace started on one host must hold none of the other
+// host's spans, and each client span must nest under its own host's server
+// span, at any shard count.
+func TestPseudoThreadStaysOnItsHost(t *testing.T) {
+	at := func(ms int) time.Time { return sim.Epoch.Add(time.Duration(ms) * time.Millisecond) }
+	const pseudo = uint64(4242)<<32 | 1
+	hosts := []string{"node-a", "node-b"}
+	var corpus []*trace.Span
+	for i, host := range hosts {
+		mk := func(id trace.SpanID, side trace.TapSide, sys trace.SysTraceID, s, e int) *trace.Span {
+			return &trace.Span{ID: id, Source: trace.SourceEBPF, TapSide: side, HostName: host,
+				PID: 4242, ProcessName: "reviews", CoroutineID: pseudo, PseudoThreadID: pseudo,
+				SysTraceID: sys, ReqTCPSeq: uint32(100*i + int(id)),
+				Flow: trace.FiveTuple{SrcIP: trace.IP(10 + i), DstIP: trace.IP(20 + int(id)),
+					SrcPort: uint16(30000 + int(id)), DstPort: 9080, Proto: trace.L4TCP},
+				StartTime: at(s), EndTime: at(e)}
+		}
+		base := trace.SpanID(10 * (i + 1))
+		corpus = append(corpus,
+			mk(base+1, trace.TapServerProcess, trace.SysTraceID(base+1), 0, 20),
+			mk(base+2, trace.TapClientProcess, trace.SysTraceID(base+2), 5, 15))
+	}
+	reg := NewResourceRegistry(nil, nil)
+	for _, shards := range []int{1, 2} {
+		s := NewSharded(reg, EncodingSmart, 0, shards)
+		ingestSpans(t, s, corpus...)
+		s.Close()
+		for i, host := range hosts {
+			server, client := trace.SpanID(10*(i+1)+1), trace.SpanID(10*(i+1)+2)
+			tr := s.Trace(server)
+			foreign := 0
+			for _, sp := range tr.Spans {
+				if sp.HostName != host {
+					foreign++
+				}
+				if sp.ID == client && sp.ParentID != server {
+					t.Errorf("%d shards, %s: client #%d nests under #%d, want #%d",
+						shards, host, client, sp.ParentID, server)
+				}
+			}
+			if foreign != 0 || tr.Len() != 2 {
+				t.Errorf("%d shards, %s: trace holds %d spans, %d from another host; want 2, 0",
+					shards, host, tr.Len(), foreign)
+			}
+		}
+	}
+}

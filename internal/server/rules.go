@@ -123,7 +123,7 @@ var parentRules = []rule{
 		return isProcessSpan(c) && c.TapSide == trace.TapClientProcess &&
 			isProcessSpan(p) && p.TapSide == trace.TapServerProcess &&
 			c.PseudoThreadID != 0 && p.PseudoThreadID == c.PseudoThreadID &&
-			p.SysTraceID != c.SysTraceID && contains(p, c)
+			p.HostName == c.HostName && p.SysTraceID != c.SysTraceID && contains(p, c)
 	}},
 	{6, "client-under-proxy-xrequestid", func(c, p *trace.Span) bool {
 		return isProcessSpan(c) && c.TapSide == trace.TapClientProcess &&

@@ -398,8 +398,14 @@ func (s *SpanStore) relatedMasked(sp *trace.Span, mask AssocMask) []int {
 		s.countExpand(assocSysTrace, len(s.bySysTrace[sp.SysTraceID]))
 	}
 	if mask&AssocPseudoThread != 0 && sp.PseudoThreadID != 0 {
-		rows = append(rows, s.byPseudo[sp.PseudoThreadID]...)
-		s.countExpand(assocPseudoThread, len(s.byPseudo[sp.PseudoThreadID]))
+		// Coroutine IDs are PID<<32|n, unique only within one host.
+		n := len(rows)
+		for _, row := range s.byPseudo[sp.PseudoThreadID] {
+			if s.spans[row].HostName == sp.HostName {
+				rows = append(rows, row)
+			}
+		}
+		s.countExpand(assocPseudoThread, len(rows)-n)
 	}
 	if mask&AssocXRequestID != 0 && sp.XRequestID != "" {
 		rows = append(rows, s.byXReq[sp.XRequestID]...)

@@ -48,12 +48,6 @@ DF_GUARD=1 go test -run 'TestIngestScalingGuard|TestIngestCorrectness' -count=1 
 echo ">> dfbench ingest (writes BENCH_ingest.json)"
 go run ./cmd/dfbench ingest
 
-echo ">> agent fast-path guard (long-lived spans/s >=1.3x all-slow-path baseline, byte-identical spans; skips below 4 CPUs)"
-DF_GUARD=1 go test -run 'TestAgentFastPathGuard|TestAgentCorrectness' -count=1 ./internal/experiments
-
-echo ">> dfbench agent (writes BENCH_agent.json)"
-go run ./cmd/dfbench agent
-
 echo ">> rollup-equivalence gate (ServiceSummaryFast == raw scan on Bookinfo, shard-count invisible)"
 go test -run TestRollupEquivalenceGate -count=1 ./internal/experiments
 
@@ -92,5 +86,8 @@ go test -run '^$' -bench 'Benchmark(Seal|Decode|Merge)Block' -benchmem -benchtim
 echo ">> fuzz the sealed-block boundary (10 s per target: arbitrary bodies under a valid CRC never panic, decode => re-encode identical, decodable pairs merge to the re-encode)"
 go test -run '^$' -fuzz '^FuzzUnmarshalBlock$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
 go test -run '^$' -fuzz '^FuzzMergeBlocks$' -fuzztime 10s -fuzzminimizetime 20x ./internal/dstore
+
+echo ">> fuzz the untrusted-payload boundary (10 s: no codec Parse or inference panics on arbitrary bytes; parsing is deterministic)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 20x ./internal/protocols
 
 echo "check.sh: all green"
